@@ -133,3 +133,19 @@ def test_pruned_entry_holds_acceptance_floor(baseline):
         f"pruned search only {entry['pruned_speedup_vs_off']:.2f}x over "
         "prefilter=off, below the 1.5x acceptance floor"
     )
+
+
+#: Floor on the warm pool's blocked phase 1 under host-chosen columns over
+#: the paper's 8 x 8 grid.  A same-host ratio, so pinned absolutely: below
+#: it the cost model has stopped cutting per-row dispatches.
+MIN_HOST_GEOMETRY_SPEEDUP = 1.3
+
+
+def test_host_geometry_speedup_floor(rerun):
+    entry = rerun.get("align_blocked_pool_5kbp")
+    assert entry is not None, "blocked pool bench entry missing"
+    assert entry["host_tiles"] < entry["paper_tiles"]
+    assert entry["host_speedup_vs_paper"] >= MIN_HOST_GEOMETRY_SPEEDUP, (
+        f"host-chosen geometry only {entry['host_speedup_vs_paper']:.2f}x over "
+        f"the paper's 8 x 8 (floor {MIN_HOST_GEOMETRY_SPEEDUP}x)"
+    )

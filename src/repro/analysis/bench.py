@@ -5,8 +5,9 @@ Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 block, the 1,000-sequence database search through both the classic batched
 kernel and the striped query-profile kernel of :mod:`repro.core.striped`,
 the score-bound-pruned search over a planted-homolog database
-(:mod:`repro.strategies.prefilter`), and the pool-vs-spawn wavefront
-repeat.  The same workloads and timing
+(:mod:`repro.strategies.prefilter`), the pool-vs-spawn wavefront
+repeat, and the warm pool's blocked phase 1 under host-chosen versus paper
+column geometry.  The same workloads and timing
 discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
 warmup call, cell counts cross-checked against the ``repro.obs`` metrics
 registry), so numbers regenerated here are comparable to the committed
@@ -424,6 +425,46 @@ def _bench_pool_wavefront(quick: bool) -> dict:
     }
 
 
+def _bench_pool_blocked(quick: bool, rounds: int) -> dict:
+    """Warm-pool blocked phase 1: host-chosen columns vs the paper's 8 x 8.
+
+    Both geometries keep the 8 bands the regions are detected over, so
+    their region lists must be identical -- asserted before timing.
+    """
+    from ..parallel import AlignmentWorkerPool, MpBlockedConfig
+    from ..plan import cached_plan
+
+    n = 1200 if quick else 5000
+    gp = genome_pair(n, n_regions=3, region_length=150, mutation_rate=0.03, rng=61)
+    host = MpBlockedConfig(n_workers=2)
+    paper = MpBlockedConfig(n_workers=2, n_blocks=8)
+    cells = len(gp.s) * len(gp.t)
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        pool.load_pair(gp.s, gp.t)
+        host_regions = pool.blocked(config=host)
+        if host_regions != pool.blocked(config=paper):
+            raise AssertionError("host-chosen geometry changed the blocked regions")
+        host_s = _best_of(lambda: pool.blocked(config=host), rounds)
+        paper_s = _best_of(lambda: pool.blocked(config=paper), rounds)
+    graph = cached_plan(host.spec(), len(gp.s), len(gp.t))
+    return {
+        "kernel": "classic",
+        "dtype": "int32",
+        "lane_mode": "pairwise",
+        "n_workers": 2,
+        "n_bands": graph.params["n_bands"],
+        "host_col_widths": [c1 - c0 for c0, c1 in graph.params["col_bounds"]],
+        "host_tiles": len(graph.tiles),
+        "paper_tiles": 64,
+        "regions": len(host_regions),
+        "host_seconds": host_s,
+        "paper_seconds": paper_s,
+        "host_gcups": gcups(cells, host_s),
+        "paper_gcups": gcups(cells, paper_s),
+        "host_speedup_vs_paper": paper_s / host_s,
+    }
+
+
 def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     """Run the whole suite; returns the BENCH_kernels.json payload."""
     rounds = 1 if quick else 3
@@ -451,6 +492,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     results["db_search_sharded_5000seq"] = _bench_db_search_sharded(quick, rounds)
     note("mp_wavefront: pool vs spawn ...")
     results["mp_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick)
+    note("align_blocked: warm pool, host geometry vs paper 8 x 8 ...")
+    results["align_blocked_pool_5kbp"] = _bench_pool_blocked(quick, rounds)
     return results
 
 

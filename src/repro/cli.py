@@ -37,6 +37,32 @@ import sys
 
 from . import __version__
 
+#: Exit codes of input failures (argparse already exits 2 on bad usage).
+EXIT_MISSING_INPUT = 3
+EXIT_BAD_FASTA = 4
+
+
+class InputError(Exception):
+    """A command's input file is missing or malformed; ``main`` prints the
+    message as one line and exits with ``code``."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _fasta_input(path, read, *args):
+    """Call ``read(*args)``, turning a missing or headerless FASTA ``path``
+    into an :class:`InputError`."""
+    from .seq.fasta import FastaError
+
+    try:
+        return read(*args)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file", EXIT_MISSING_INPUT) from None
+    except FastaError as exc:
+        raise InputError(f"{path}: not FASTA ({exc})", EXIT_BAD_FASTA) from None
+
 
 def _load_pair(args) -> tuple:
     """Sequences from FASTA paths, or a seeded demo pair."""
@@ -55,8 +81,8 @@ def _load_pair(args) -> tuple:
             min_separation=min(3 * region_length, args.demo_length // 8),
         )
         return gp.s, gp.t
-    a = read_fasta(args.seq_a)
-    b = read_fasta(args.seq_b)
+    a = _fasta_input(args.seq_a, read_fasta, args.seq_a)
+    b = _fasta_input(args.seq_b, read_fasta, args.seq_b)
     if not a or not b:
         raise SystemExit("empty FASTA input")
     return a[0].codes, b[0].codes
@@ -209,7 +235,7 @@ def cmd_search(args) -> int:
     from .strategies import SearchConfig, search_db
 
     _install_ledger(args)
-    queries = read_fasta(args.query)
+    queries = _fasta_input(args.query, read_fasta, args.query)
     if not queries:
         raise SystemExit("empty query FASTA")
     query = queries[0]
@@ -230,10 +256,13 @@ def cmd_search(args) -> int:
     observing = bool(args.trace or args.metrics)
     scope = obs.observed("coordinator") if observing else nullcontext((None, None))
     with scope as (tracer, metrics):
-        packed = pack_database(
-            stream_fasta(args.database),
-            max_lanes=config.resolved_max_lanes,
-            max_waste=config.resolved_max_waste,
+        packed = _fasta_input(
+            args.database,
+            lambda: pack_database(
+                stream_fasta(args.database),
+                max_lanes=config.resolved_max_lanes,
+                max_waste=config.resolved_max_waste,
+            ),
         )
         repeats = max(1, args.repeat)
         if args.workers > 1:
@@ -815,7 +844,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

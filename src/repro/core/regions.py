@@ -123,52 +123,108 @@ class StreamingRegionFinder:
         else:
             segments = [js]
         for seg in segments:
-            j_lo, j_hi = int(seg[0]), int(seg[-1])
             k = int(np.argmax(row[seg]))
-            seg_score, seg_peak_j = int(row[seg[k]]), int(seg[k])
-            matches = [
-                r
-                for r in self._active
-                # Allow for the ~1 column/row rightward drift of a diagonal
-                # streak across any skipped rows.
-                if j_lo <= r.cur_hi + cfg.col_tolerance + (i - r.last_row)
-                and j_hi >= r.cur_lo - cfg.col_tolerance
-            ]
-            if not matches:
-                self._active.append(
-                    Region(
-                        s_start=i - 1,
-                        s_end=i,
-                        t_start=j_lo - 1,
-                        t_end=j_hi,
-                        score=seg_score,
-                        peak_i=i,
-                        peak_j=seg_peak_j,
-                        n_hits=len(seg),
-                        last_row=i,
-                        cur_lo=j_lo,
-                        cur_hi=j_hi,
-                    )
+            self._add_segment(
+                i, int(seg[0]), int(seg[-1]), len(seg), int(row[seg[k]]), int(seg[k])
+            )
+
+    def feed_rows(self, i0: int, rows: np.ndarray) -> None:
+        """Consume DP rows ``i0 .. i0 + len(rows) - 1`` (a whole band) at once.
+
+        One numpy pass finds every cell at or above the threshold; the
+        hits are cut into per-row segments (runs whose column gaps stay
+        within ``col_tolerance``) with their summits, all vectorised, and
+        only the segments go through the Python clustering loop.  Rows
+        without hits only age the active regions, and :meth:`_retire`
+        closes regions in ``last_row`` order, so the regions -- and their
+        order in :meth:`finish` -- are exactly those of a row-by-row feed.
+        """
+        if len(rows) == 0:
+            return
+        if i0 <= self._last_fed:
+            raise ValueError(f"rows must be fed in increasing order (got {i0})")
+        width = rows.shape[1] - 1
+        # Flat indices: a 2-D np.nonzero costs ~10x a flat one.
+        flat = np.flatnonzero(rows[:, 1:] >= self.config.threshold)
+        if flat.size:
+            r_idx, c_idx = np.divmod(flat, width)
+            js = c_idx + 1
+            vals = rows[r_idx, js]
+            cut = np.flatnonzero(
+                (np.diff(r_idx) != 0) | (np.diff(js) > self.config.col_tolerance)
+            ) + 1
+            starts = np.concatenate(([0], cut))
+            ends = np.concatenate((cut, [js.size]))
+            peaks = np.maximum.reduceat(vals, starts)
+            # First summit of each segment (np.argmax's tie rule).
+            at_peak = vals == np.repeat(peaks, ends - starts)
+            firsts = np.minimum.reduceat(
+                np.where(at_peak, np.arange(js.size, dtype=np.int64), js.size), starts
+            )
+            current = -1
+            for row, lo, hi, n, score, peak_j in zip(
+                (r_idx[starts] + i0).tolist(),
+                js[starts].tolist(),
+                js[ends - 1].tolist(),
+                (ends - starts).tolist(),
+                peaks.tolist(),
+                js[firsts].tolist(),
+            ):
+                if row != current:
+                    self._retire(row)
+                    current = row
+                self._add_segment(row, lo, hi, n, score, peak_j)
+        last = i0 + len(rows) - 1
+        self._retire(last)
+        self._last_fed = last
+
+    def _add_segment(
+        self, i: int, j_lo: int, j_hi: int, n_hits: int, seg_score: int, seg_peak_j: int
+    ) -> None:
+        """Attribute one row segment of hits to an active region (or open one)."""
+        tol = self.config.col_tolerance
+        matches = [
+            r
+            for r in self._active
+            # Allow for the ~1 column/row rightward drift of a diagonal
+            # streak across any skipped rows.
+            if j_lo <= r.cur_hi + tol + (i - r.last_row) and j_hi >= r.cur_lo - tol
+        ]
+        if not matches:
+            self._active.append(
+                Region(
+                    s_start=i - 1,
+                    s_end=i,
+                    t_start=j_lo - 1,
+                    t_end=j_hi,
+                    score=seg_score,
+                    peak_i=i,
+                    peak_j=seg_peak_j,
+                    n_hits=n_hits,
+                    last_row=i,
+                    cur_lo=j_lo,
+                    cur_hi=j_hi,
                 )
-                continue
-            target = matches[0]
-            for extra in matches[1:]:
-                self._absorb(target, extra)
-                self._active.remove(extra)
-            target.s_end = i
-            target.t_start = min(target.t_start, j_lo - 1)
-            target.t_end = max(target.t_end, j_hi)
-            target.n_hits += len(seg)
-            if target.last_row == i:
-                target.cur_lo = min(target.cur_lo, j_lo)
-                target.cur_hi = max(target.cur_hi, j_hi)
-            else:
-                target.cur_lo, target.cur_hi = j_lo, j_hi
-            target.last_row = i
-            if seg_score > target.score:
-                target.score = seg_score
-                target.peak_i = i
-                target.peak_j = seg_peak_j
+            )
+            return
+        target = matches[0]
+        for extra in matches[1:]:
+            self._absorb(target, extra)
+            self._active.remove(extra)
+        target.s_end = i
+        target.t_start = min(target.t_start, j_lo - 1)
+        target.t_end = max(target.t_end, j_hi)
+        target.n_hits += n_hits
+        if target.last_row == i:
+            target.cur_lo = min(target.cur_lo, j_lo)
+            target.cur_hi = max(target.cur_hi, j_hi)
+        else:
+            target.cur_lo, target.cur_hi = j_lo, j_hi
+        target.last_row = i
+        if seg_score > target.score:
+            target.score = seg_score
+            target.peak_i = i
+            target.peak_j = seg_peak_j
 
     @staticmethod
     def _absorb(target: Region, extra: Region) -> None:
@@ -186,13 +242,19 @@ class StreamingRegionFinder:
             target.peak_j = extra.peak_j
 
     def _retire(self, current_row: int) -> None:
-        still_active: list[Region] = []
-        for r in self._active:
-            if current_row - r.last_row > self.config.row_tolerance:
-                self._finished.append(r)
-            else:
-                still_active.append(r)
-        self._active = still_active
+        """Close regions idle for more than ``row_tolerance`` rows.
+
+        Closed regions are appended in ``last_row`` order (ties keep their
+        active-list order): the order a row-by-row feed retires them in, so
+        skipping hit-free rows cannot reorder ties in :meth:`finish`.
+        """
+        tol = self.config.row_tolerance
+        retired = [r for r in self._active if current_row - r.last_row > tol]
+        if not retired:
+            return
+        self._active = [r for r in self._active if current_row - r.last_row <= tol]
+        retired.sort(key=lambda r: r.last_row)
+        self._finished.extend(retired)
 
     def finish(self) -> list[Region]:
         """Close all active regions and return every region found, best first."""

@@ -246,6 +246,9 @@ class Attribution:
     workers: list[WorkerRow] = field(default_factory=list)
     shards: list[ShardRow] = field(default_factory=list)
     stalls: list[Stall] = field(default_factory=list)
+    #: Host cost model vs the measured tiles, per tile kind (see
+    #: :func:`repro.plan.hostcost.prediction_report`); empty without a graph.
+    host_cost: dict = field(default_factory=dict)
 
     @property
     def critical_path_pct(self) -> float:
@@ -296,6 +299,7 @@ class Attribution:
                 for s in self.shards
             ],
             "stall_seconds_by_cause": self.stall_seconds_by_cause(),
+            "host_cost": self.host_cost,
             "top_stalls": [
                 {
                     "process": s.process,
@@ -335,6 +339,15 @@ class Attribution:
                     f"    shard {s.shard:<11} tiles={s.tiles:<6} "
                     f"busy={s.busy_seconds:.4f} s  cells={s.cells:,}  "
                     f"util={s.util_pct:5.1f} %"
+                )
+        if self.host_cost:
+            lines.append("  host cost model (predicted vs measured tile seconds):")
+            for kind, row in self.host_cost.items():
+                lines.append(
+                    f"    {kind:<16} tiles={row['tiles']:<6} "
+                    f"predicted={row['predicted_seconds']:.4f} s  "
+                    f"measured={row['measured_seconds']:.4f} s  "
+                    f"median rel error={100.0 * row['median_rel_error']:.1f} %"
                 )
         shown = sorted(self.stalls, key=lambda s: -s.seconds)[:top_stalls]
         lines.append(f"  stalls (top {len(shown)} of {len(self.stalls)}):")
@@ -398,7 +411,11 @@ def attribute(
     cells_planned = int(span.args.get("cells", 0))
     cp_cells = int(span.args.get("critical_path_cells", 0))
 
+    host_cost: dict = {}
     if graph is not None:
+        from ..plan.hostcost import graph_samples, prediction_report
+
+        host_cost = prediction_report(graph_samples(graph, tiles))
         best: list[float] = []
         for tile in graph.tiles:
             here = durations.get(tile.id, 0.0) + max(
@@ -506,6 +523,7 @@ def attribute(
         workers=workers,
         shards=shard_rows,
         stalls=stalls,
+        host_cost=host_cost,
     )
 
 

@@ -41,18 +41,25 @@ from .shm import attach_shared_array, create_shared_array
 
 @dataclass(frozen=True)
 class MpBlockedConfig:
-    """Parameters of the real-parallel blocked run."""
+    """Parameters of the real-parallel blocked run.
+
+    ``n_blocks=None`` (the default) lets the host cost model choose the
+    column bounds (:func:`repro.plan.hostcost.host_col_bounds`); an integer
+    forces that many even blocks.  ``n_bands`` stays fixed because the
+    regions are detected per band: changing it changes the regions.
+    """
 
     n_workers: int = 2
     n_bands: int = 8
-    n_blocks: int = 8
+    n_blocks: int | None = None
     threshold: int = 35
     min_score: int | None = None
     timeout: float = 300.0
     kernel: str = "classic"
 
     def __post_init__(self) -> None:
-        if self.n_workers <= 0 or self.n_bands <= 0 or self.n_blocks <= 0:
+        blocks = 1 if self.n_blocks is None else self.n_blocks
+        if self.n_workers <= 0 or self.n_bands <= 0 or blocks <= 0:
             raise ValueError("workers/bands/blocks must be positive")
 
     def spec(self):

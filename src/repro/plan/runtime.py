@@ -266,34 +266,54 @@ class _BandedRuntime(PlanRuntime):
 
 
 class BlockedRuntime(_BandedRuntime):
-    """Section 4.3 execution: banded blocks plus per-band region detection."""
+    """Section 4.3 execution: banded blocks plus per-band region detection.
+
+    Each owner keeps one band buffer (DP rows of its current band, full
+    matrix width plus the zero boundary column).  A tile's kernel writes its
+    rows straight into the buffer's column slice -- the column left of the
+    slice, written by the previous block, is the tile's left border -- and
+    the band's last tile hands the whole buffer to the region finder.
+    """
 
     SPAN_NAME = "tile"
-    ENGINE_COUNTS_CELLS = True  # compute_tile uses the batched slice kernel
+    ENGINE_COUNTS_CELLS = True  # sw_rows_slice is the batched slice kernel
 
     def __init__(self, graph, s, t, scoring, state) -> None:
         super().__init__(graph, s, t, scoring, state)
         self._found: dict[int, list] = {}
-        self._band_rows: dict[int, np.ndarray] = {}  # owner -> current band rows
+        self._band_rows: dict[int, np.ndarray] = {}  # owner -> band buffer
+
+    def _band_buffer(self, owner: int, h: int) -> np.ndarray:
+        """This owner's band buffer, cut to ``h`` rows (reused across bands:
+        tiles overwrite every column but the zero boundary column)."""
+        buf = self._band_rows.get(owner)
+        if buf is None:
+            tallest = max(r1 - r0 for r0, r1 in self.row_bounds)
+            buf = np.zeros((tallest, self.graph.shape[1] + 1), dtype=SCORE_DTYPE)
+            self._band_rows[owner] = buf
+        return buf[:h]
 
     def run_tile(self, tile: Tile) -> None:
         band, block = tile.payload
         r0, r1 = self.row_bounds[band]
         c0, c1 = self.col_bounds[block]
         h = r1 - r0
-        if block == 0 and h:
-            self._band_rows[tile.owner] = np.zeros(
-                (h, self.graph.shape[1] + 1), dtype=SCORE_DTYPE
+        if h == 0:
+            return
+        band_rows = self._band_buffer(tile.owner, h)
+        if c1 > c0:
+            tile_rows = band_rows[:, c0 : c1 + 1]
+            self._workspace(block, c0, c1).sw_rows_slice(
+                self.boundaries[band, c0 : c1 + 1],
+                self.s[r0:r1],
+                tile_rows[:, 0],
+                out=tile_rows,
             )
-        matrix = self._compute(tile)
-        if matrix is not None:
-            self._band_rows[tile.owner][:, c0 + 1 : c1 + 1] = matrix[:, 1:]
-        if block == len(self.col_bounds) - 1 and h:
+            self.boundaries[band + 1, c0 + 1 : c1 + 1] = tile_rows[-1, 1:]
+        if block == len(self.col_bounds) - 1:
             # band finished: phase-1 candidate detection over its rows
             finder = StreamingRegionFinder(_region_config(self.graph.params))
-            band_rows = self._band_rows[tile.owner]
-            for r in range(h):
-                finder.feed(r0 + r + 1, band_rows[r])
+            finder.feed_rows(r0 + 1, band_rows)
             found = self._found.setdefault(tile.owner, [])
             for region in finder.finish():
                 a = region.as_alignment()

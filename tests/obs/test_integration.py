@@ -107,6 +107,33 @@ class TestRunnerClocks:
         assert result.total_time > 0.0
         assert result.wall_seconds != result.total_time
 
+    @pytest.mark.parametrize("inline", [False, True], ids=["sim", "inline"])
+    def test_pipeline_phase_spans_carry_cells(self, pair, inline):
+        from repro.plan import InlineExecutor
+        from repro.strategies import run_pipeline
+
+        executor = InlineExecutor() if inline else None
+        with obs.observed() as (tracer, metrics):
+            result = run_pipeline(
+                pair.s, pair.t, strategy="heuristic_block", n_procs=2, executor=executor
+            )
+        payload = {
+            "traceEvents": tracer.to_chrome_trace(),
+            "reproMetrics": metrics.snapshot(),
+        }
+        rows = {r["phase"]: r for r in phase_rows(payload)}
+        phase2_cells = sum(
+            (r.s_end - r.s_start) * (r.t_end - r.t_start)
+            for r in result.phase1.alignments
+            if r.s_length and r.t_length
+        )
+        assert rows["phase1"]["cells"] == 400 * 400
+        assert rows["phase1"]["gcups"] > 0
+        assert rows["phase2"]["cells"] == phase2_cells > 0
+        text = render_report(payload).splitlines()
+        phase1_line = next(line for line in text if line.startswith("phase1"))
+        assert f"{400 * 400:,}" in phase1_line
+
     def test_mp_pipeline_works_without_obs(self, pair):
         from repro.strategies import run_mp_pipeline
 

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BAD_FASTA, EXIT_MISSING_INPUT, build_parser, main
 
 
 class TestParser:
@@ -70,6 +70,67 @@ class TestAlign:
         )
         assert rc == 0
         assert "align_s:" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """Missing or headerless FASTA inputs end in one stderr line and a
+    distinct exit code, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        good = tmp_path / "good.fa"
+        good.write_text(">q\nACGTACGTTTGACCA\n")
+        headerless = tmp_path / "headerless.fa"
+        headerless.write_text("ACGTACGT\n>late\nACGT\n")
+        return good, headerless, tmp_path / "missing.fa"
+
+    @pytest.mark.parametrize(
+        "command, slot",
+        [("align", 0), ("align", 1), ("search", 0), ("search", 1)],
+    )
+    def test_missing_file(self, files, capsys, command, slot):
+        good, _, missing = files
+        argv = [str(good), str(good)]
+        argv[slot] = str(missing)
+        assert main([command, *argv]) == EXIT_MISSING_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert str(missing) in captured.err and "no such file" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command, slot",
+        [("align", 0), ("align", 1), ("search", 0), ("search", 1)],
+    )
+    def test_headerless_fasta(self, files, capsys, command, slot):
+        good, headerless, _ = files
+        argv = [str(good), str(good)]
+        argv[slot] = str(headerless)
+        assert main([command, *argv]) == EXIT_BAD_FASTA
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert str(headerless) in captured.err and "header" in captured.err
+
+    def test_exit_codes_are_distinct_and_not_usage_errors(self):
+        assert len({EXIT_MISSING_INPUT, EXIT_BAD_FASTA, 0, 1, 2}) == 5
+
+    def test_module_entry_point_exits_with_the_code(self, files):
+        import os
+        import subprocess
+        import sys
+
+        _, _, missing = files
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "search", str(missing), str(missing)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == EXIT_MISSING_INPUT
+        assert proc.stderr.strip().splitlines() == [
+            f"repro search: {missing}: no such file"
+        ]
 
 
 class TestGenerate:
