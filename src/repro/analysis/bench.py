@@ -5,9 +5,8 @@ Regenerates every entry of ``BENCH_kernels.json`` from fixed seeds: the
 block, the 1,000-sequence database search through both the classic batched
 kernel and the striped query-profile kernel of :mod:`repro.core.striped`,
 the score-bound-pruned search over a planted-homolog database
-(:mod:`repro.strategies.prefilter`), the pool-vs-spawn wavefront
-repeat, and the warm pool's blocked phase 1 under host-chosen versus paper
-column geometry.  The same workloads and timing
+(:mod:`repro.strategies.prefilter`), and the warm pool's blocked phase 1
+under host-chosen versus paper column geometry.  The same workloads and timing
 discipline as the ``benchmarks/`` pytest suite (min-of-rounds after a
 warmup call, cell counts cross-checked against the ``repro.obs`` metrics
 registry), so numbers regenerated here are comparable to the committed
@@ -386,45 +385,6 @@ def _bench_db_search_sharded(quick: bool, rounds: int) -> dict:
     }
 
 
-def _bench_pool_wavefront(quick: bool) -> dict:
-    """Pool-amortized vs spawn-per-call mp_wavefront repeats."""
-    from ..parallel import (
-        AlignmentWorkerPool,
-        MpWavefrontConfig,
-        mp_wavefront_alignments,
-    )
-
-    gp = genome_pair(
-        600, 600, n_regions=2, region_length=60, mutation_rate=0.02, rng=51
-    )
-    config = MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-    reps = 3 if quick else 10
-
-    start = time.perf_counter()
-    for _ in range(reps):
-        mp_wavefront_alignments(gp.s, gp.t, config)
-    spawn_s = time.perf_counter() - start
-
-    with AlignmentWorkerPool(n_workers=2) as pool:
-        pool.load_pair(gp.s, gp.t)
-        pool.wavefront(config=config)  # warmup: first call pays arena attach
-        start = time.perf_counter()
-        for _ in range(reps):
-            pool.wavefront(config=config)
-        pool_s = time.perf_counter() - start
-
-    return {
-        "kernel": "classic",
-        "dtype": "int32",
-        "lane_mode": "pairwise",
-        "n_workers": 2,
-        "repeats": reps,
-        "spawn_seconds": spawn_s,
-        "pool_seconds": pool_s,
-        "pool_speedup": spawn_s / pool_s,
-    }
-
-
 def _bench_pool_blocked(quick: bool, rounds: int) -> dict:
     """Warm-pool blocked phase 1: host-chosen columns vs the paper's 8 x 8.
 
@@ -490,8 +450,6 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     )
     note("db_search: sharded + result cache ...")
     results["db_search_sharded_5000seq"] = _bench_db_search_sharded(quick, rounds)
-    note("mp_wavefront: pool vs spawn ...")
-    results["mp_wavefront_10_repeats_600x600"] = _bench_pool_wavefront(quick)
     note("align_blocked: warm pool, host geometry vs paper 8 x 8 ...")
     results["align_blocked_pool_5kbp"] = _bench_pool_blocked(quick, rounds)
     return results

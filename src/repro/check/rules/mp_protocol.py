@@ -124,7 +124,7 @@ class UnboundedQueueGet(Rule):
                 ctx,
                 node,
                 ".get() with no timeout blocks forever on producer death; pass "
-                "timeout= and poll exit codes (guard.drain_results), or use the "
+                "timeout= and poll exit codes between reads (guard.poll_until), or use the "
                 "sentinel pull-loop",
             )
 

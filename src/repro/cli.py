@@ -51,6 +51,20 @@ class InputError(Exception):
         self.code = code
 
 
+def _at_least(minimum: int):
+    """argparse ``type`` for an integer option that must be ``>= minimum``;
+    a smaller value is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _fasta_input(path, read, *args):
     """Call ``read(*args)``, turning a missing or headerless FASTA ``path``
     into an :class:`InputError`."""
@@ -115,24 +129,8 @@ def cmd_align(args) -> int:
                     f"strategy {args.strategy!r} has no real-parallel backend; "
                     "use --strategy heuristic or heuristic_block with --backend mp"
                 )
-            mp_config = None
-            if args.kernel != "classic":
-                from .parallel import MpBlockedConfig, MpWavefrontConfig
-
-                if strategy == "heuristic":
-                    mp_config = MpWavefrontConfig(
-                        n_workers=args.mp_workers, kernel=args.kernel
-                    )
-                else:
-                    mp_config = MpBlockedConfig(
-                        n_workers=args.mp_workers, kernel=args.kernel
-                    )
             result = run_mp_pipeline(
-                s,
-                t,
-                backend=args.strategy,
-                n_workers=args.mp_workers,
-                phase1_config=mp_config,
+                s, t, backend=args.strategy, n_workers=args.mp_workers
             )
             print(
                 f"phase 1 ({result.backend}, {result.n_workers} worker processes): "
@@ -153,33 +151,12 @@ def cmd_align(args) -> int:
                 from .plan import InlineExecutor
 
                 executor = InlineExecutor()
-            phase1_config = None
-            if args.kernel != "classic":
-                from .strategies import (
-                    BlockedConfig,
-                    PreprocessConfig,
-                    WavefrontConfig,
-                    canonical_strategy,
-                )
-
-                phase1_config = {
-                    "heuristic": WavefrontConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                    "heuristic_block": BlockedConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                    "pre_process": PreprocessConfig(
-                        n_procs=args.procs, kernel=args.kernel
-                    ),
-                }[canonical_strategy(args.strategy)]
             result = run_pipeline(
                 s,
                 t,
                 strategy=args.strategy,
                 n_procs=args.procs,
                 scale=args.scale,
-                phase1_config=phase1_config,
                 executor=executor,
             )
             p1 = result.phase1
@@ -584,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
         "when scale > 1; the result says why)",
     )
     p_align.add_argument(
-        "--mp-workers", type=int, default=2, help="process count for --backend mp"
+        "--mp-workers", type=_at_least(1), default=2, help="process count for --backend mp"
     )
-    p_align.add_argument("--top", type=int, default=3, help="alignments to print")
+    p_align.add_argument("--top", type=_at_least(0), default=3, help="alignments to print")
     p_align.add_argument(
         "--trace",
         metavar="FILE",
@@ -599,13 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the metrics registry (cells, GCUPS, queue waits) after the run",
     )
     p_align.add_argument(
-        "--kernel",
-        default="classic",
-        choices=("classic", "striped"),
-        help="row kernel: classic dense scans, or the striped query-profile "
-        "kernel with narrow lanes and overflow recovery",
-    )
-    p_align.add_argument(
         "--ledger",
         metavar="FILE",
         help="append this run's headline rates (and attribution summary when "
@@ -616,10 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="scan a query against a FASTA database")
     p_search.add_argument("query", help="FASTA file; the first record is the query")
     p_search.add_argument("database", help="FASTA database of target sequences")
-    p_search.add_argument("--top", type=int, default=10, help="hits to report")
+    p_search.add_argument("--top", type=_at_least(0), default=10, help="hits to report")
     p_search.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="1 = in-process batched scan; >1 = dynamic dispatch over the pool",
     )

@@ -41,7 +41,6 @@ from .multi_engine import PAD_CODE, PAD_SCORE, MultiSequenceWorkspace, pack_code
 from .striped import (
     LANE_MODES,
     StripedMultiWorkspace,
-    StripedPairWorkspace,
     clear_profile_cache,
     overflow_stats,
     profile_cache_stats,
@@ -115,7 +114,6 @@ __all__ = [
     "Scoring",
     "StreamingRegionFinder",
     "StripedMultiWorkspace",
-    "StripedPairWorkspace",
     "SubsequenceAlignment",
     "TieredFilter",
     "TracebackResult",

@@ -169,7 +169,12 @@ def rebuild_graph(span: Event) -> Any:
         return None
     from ..plan.planners import PlanSpec, build_plan  # lazy: plan imports obs
 
-    params = tuple(sorted((str(k), v) for k, v in dict(args["spec_params"]).items()))
+    # Traces recorded while pairwise plans took a ``kernel`` param still
+    # carry it; the planners no longer accept it and it selected nothing
+    # the graph's shape depends on.
+    params = tuple(
+        sorted((str(k), v) for k, v in dict(args["spec_params"]).items() if k != "kernel")
+    )
     spec = PlanSpec(str(args["spec_kind"]), params)
     return build_plan(spec, int(args["rows"]), int(args["cols"]))
 

@@ -1,10 +1,7 @@
 """Real shared-memory (multiprocessing) backend of the paper's strategies."""
 
-from .guard import WorkerCrashed, drain_results
-from .mp_blocked import MpBlockedConfig, mp_blocked_alignments
-from .mp_phase2 import mp_phase2
-from .mp_wavefront import MpWavefrontConfig, mp_wavefront_alignments
-from .pool import AlignmentWorkerPool, PoolJobError
+from .guard import WorkerCrashed
+from .pool import AlignmentWorkerPool, MpBlockedConfig, MpWavefrontConfig, PoolJobError
 from .shm import (
     ArenaHandle,
     SequenceArena,
@@ -24,8 +21,4 @@ __all__ = [
     "WorkerCrashed",
     "attach_shared_array",
     "create_shared_array",
-    "drain_results",
-    "mp_blocked_alignments",
-    "mp_phase2",
-    "mp_wavefront_alignments",
 ]

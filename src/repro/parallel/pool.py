@@ -1,10 +1,10 @@
-"""Persistent shared-memory worker pool for repeated alignments.
+"""Persistent shared-memory worker pool: the real-parallel backend.
 
-The one-shot ``mp_*`` backends pay full process spawn plus sequence pickling
-on *every* call -- fine for a single 400 kBP comparison, ruinous for the
-ROADMAP's serving scenario where the same genome pair (or a stream of pairs)
-is aligned over and over.  :class:`AlignmentWorkerPool` keeps ``n_workers``
-processes alive across requests:
+Spawning processes and pickling the sequences on every call would be fine
+for a single 400 kBP comparison and ruinous for the serving scenario where
+the same genome pair (or a stream of pairs) is aligned over and over.
+:class:`AlignmentWorkerPool` keeps ``n_workers`` processes alive across
+requests:
 
 * Sequences are published once per pair through a
   :class:`repro.parallel.shm.SequenceArena`; workers attach by name and slice
@@ -41,6 +41,7 @@ import multiprocessing as mp
 import shutil
 import tempfile
 import time
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Sequence
 
@@ -70,8 +71,6 @@ from ..plan import (
 )
 from ..seq.alphabet import encode
 from .guard import WorkerCrashed, poll_until
-from .mp_blocked import MpBlockedConfig
-from .mp_wavefront import MpWavefrontConfig
 from .shm import ArenaHandle, SequenceArena, attach_arena, attach_shared_array, create_shared_array
 
 #: End-of-stream marker of every pool queue.  ``None`` by value (needs no
@@ -82,6 +81,68 @@ SENTINEL = None
 
 class PoolJobError(RuntimeError):
     """A pool worker raised while executing a job (the pool itself is fine)."""
+
+
+@dataclass(frozen=True)
+class MpWavefrontConfig:
+    """Parameters of a real-parallel wave-front run (Section 4.2).
+
+    ``rows_per_exchange=1`` is the paper's strategy 1, one border handshake
+    per row; larger values batch the exchanges (the blocking factor in
+    embryo) and change only timing, never results.
+    """
+
+    n_workers: int = 2
+    rows_per_exchange: int = 1
+    threshold: int = 35
+    min_score: int | None = None
+    timeout: float = 300.0
+
+    def __post_init__(self) -> None:
+        if self.n_workers <= 0 or self.rows_per_exchange <= 0:
+            raise ValueError("workers and rows_per_exchange must be positive")
+
+    def spec(self) -> PlanSpec:
+        """The plan spec this config describes (one graph per (rows, cols))."""
+        return wavefront_spec(
+            n_procs=self.n_workers,
+            group_rows=self.rows_per_exchange,
+            threshold=self.threshold,
+            min_score=self.min_score,
+        )
+
+
+@dataclass(frozen=True)
+class MpBlockedConfig:
+    """Parameters of a real-parallel blocked run (Section 4.3).
+
+    ``n_blocks=None`` (the default) lets the host cost model choose the
+    column bounds (:func:`repro.plan.hostcost.host_col_bounds`); an integer
+    forces that many even blocks.  ``n_bands`` stays fixed because the
+    regions are detected per band: changing it changes the regions.
+    """
+
+    n_workers: int = 2
+    n_bands: int = 8
+    n_blocks: int | None = None
+    threshold: int = 35
+    min_score: int | None = None
+    timeout: float = 300.0
+
+    def __post_init__(self) -> None:
+        blocks = 1 if self.n_blocks is None else self.n_blocks
+        if self.n_workers <= 0 or self.n_bands <= 0 or blocks <= 0:
+            raise ValueError("workers/bands/blocks must be positive")
+
+    def spec(self) -> PlanSpec:
+        """The plan spec this config describes (one graph per (rows, cols))."""
+        return blocked_spec(
+            n_procs=self.n_workers,
+            n_bands=self.n_bands,
+            n_blocks=self.n_blocks,
+            threshold=self.threshold,
+            min_score=self.min_score,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -549,20 +610,14 @@ class AlignmentWorkerPool:
         config: MpWavefrontConfig | None = None,
         scoring: Scoring = DEFAULT_SCORING,
     ) -> list[LocalAlignment]:
-        """Strategy 1 on the persistent workers; same results as
-        :func:`repro.parallel.mp_wavefront.mp_wavefront_alignments`."""
-        config = config or MpWavefrontConfig(n_workers=self.n_workers)
+        """Strategy 1 (Section 4.2) on the persistent workers."""
+        config = replace(config or MpWavefrontConfig(), n_workers=self.n_workers)
         handle = self._ensure_pair(s, t)
         if handle.t_len < self.n_workers:
             raise ValueError("sequence narrower than the worker count")
-        spec = wavefront_spec(
-            n_procs=self.n_workers,
-            group_rows=config.rows_per_exchange,
-            threshold=config.threshold,
-            min_score=config.min_score,
-            kernel=config.kernel,
-        )
-        return self.run_plan(spec, timeout=config.timeout, scoring=scoring).alignments
+        return self.run_plan(
+            config.spec(), timeout=config.timeout, scoring=scoring
+        ).alignments
 
     def blocked(
         self,
@@ -571,19 +626,12 @@ class AlignmentWorkerPool:
         config: MpBlockedConfig | None = None,
         scoring: Scoring = DEFAULT_SCORING,
     ) -> list[LocalAlignment]:
-        """Strategy 2 on the persistent workers; same results as
-        :func:`repro.parallel.mp_blocked.mp_blocked_alignments`."""
-        config = config or MpBlockedConfig(n_workers=self.n_workers)
+        """Strategy 2 (Section 4.3) on the persistent workers."""
+        config = replace(config or MpBlockedConfig(), n_workers=self.n_workers)
         self._ensure_pair(s, t)
-        spec = blocked_spec(
-            n_procs=self.n_workers,
-            n_bands=config.n_bands,
-            n_blocks=config.n_blocks,
-            threshold=config.threshold,
-            min_score=config.min_score,
-            kernel=config.kernel,
-        )
-        return self.run_plan(spec, timeout=config.timeout, scoring=scoring).alignments
+        return self.run_plan(
+            config.spec(), timeout=config.timeout, scoring=scoring
+        ).alignments
 
     def phase2(
         self,

@@ -62,7 +62,7 @@ def _spec(kind: str, **params: object) -> PlanSpec:
     return PlanSpec(kind, tuple(sorted(params.items())))
 
 
-#: Row-kernel implementations the runtimes can drive (see
+#: Bucket-scan kernels a search graph can select (see
 #: :mod:`repro.core.striped` for the striped one).
 KERNELS = ("classic", "striped")
 
@@ -82,7 +82,6 @@ def wavefront_spec(
     min_score: int | None = None,
     overlap_slack: int = 8,
     home_migration: bool = False,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "wavefront",
@@ -94,7 +93,6 @@ def wavefront_spec(
         min_score=min_score,
         overlap_slack=overlap_slack,
         home_migration=home_migration,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -107,7 +105,6 @@ def blocked_spec(
     row_tolerance: int = 16,
     min_score: int | None = None,
     overlap_slack: int = 8,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "blocked",
@@ -119,7 +116,6 @@ def blocked_spec(
         row_tolerance=row_tolerance,
         min_score=min_score,
         overlap_slack=overlap_slack,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -135,7 +131,6 @@ def preprocess_spec(
     io_mode: str = "none",
     cache_friendly_rows: int = 32_000,
     cache_penalty: float = 0.20,
-    kernel: str = "classic",
 ) -> PlanSpec:
     return _spec(
         "preprocess",
@@ -150,7 +145,6 @@ def preprocess_spec(
         io_mode=io_mode,
         cache_friendly_rows=cache_friendly_rows,
         cache_penalty=cache_penalty,
-        kernel=_check_kernel(kernel),
     )
 
 
@@ -171,7 +165,6 @@ def plan_wavefront(
     min_score: int | None = None,
     overlap_slack: int = 8,
     home_migration: bool = False,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 4.2 schedule: columns split N/P, rows grouped by ``group_rows``."""
     if cols < n_procs:
@@ -208,7 +201,6 @@ def plan_wavefront(
             "min_score": min_score,
             "overlap_slack": overlap_slack,
             "home_migration": home_migration,
-            "kernel": _check_kernel(kernel),
         },
         spec=wavefront_spec(
             n_procs,
@@ -219,7 +211,6 @@ def plan_wavefront(
             min_score,
             overlap_slack,
             home_migration,
-            kernel,
         ),
     )
     return graph.validate()
@@ -264,7 +255,6 @@ def plan_blocked(
     row_tolerance: int = 16,
     min_score: int | None = None,
     overlap_slack: int = 8,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 4.3 schedule: bands x blocks, band ``b`` owned by ``b mod P``.
 
@@ -292,7 +282,6 @@ def plan_blocked(
             "row_tolerance": row_tolerance,
             "min_score": min_score,
             "overlap_slack": overlap_slack,
-            "kernel": _check_kernel(kernel),
         },
         spec=blocked_spec(
             n_procs,
@@ -303,7 +292,6 @@ def plan_blocked(
             row_tolerance,
             min_score,
             overlap_slack,
-            kernel,
         ),
     )
     return graph.validate()
@@ -324,7 +312,6 @@ def plan_preprocess(
     io_mode: str = "none",
     cache_friendly_rows: int = 32_000,
     cache_penalty: float = 0.20,
-    kernel: str = "classic",
 ) -> TaskGraph:
     """Section 5 schedule: bands x column chunks with the scoreboard payload.
 
@@ -352,7 +339,6 @@ def plan_preprocess(
             "io_mode": io_mode,
             "cache_friendly_rows": cache_friendly_rows,
             "cache_penalty": cache_penalty,
-            "kernel": _check_kernel(kernel),
         },
         spec=preprocess_spec(
             n_procs,
@@ -366,7 +352,6 @@ def plan_preprocess(
             io_mode,
             cache_friendly_rows,
             cache_penalty,
-            kernel,
         ),
     )
     return graph.validate()

@@ -48,30 +48,16 @@ def pair():
     return make(), make()
 
 
-def test_mp_wavefront_runs_clean(sanitize, pair):
-    from repro.parallel.mp_wavefront import MpWavefrontConfig, mp_wavefront_alignments
-
-    mp_wavefront_alignments(*pair, MpWavefrontConfig(n_workers=2, threshold=18))
-    report = assert_clean()
-    assert report.n_processes >= 3  # coordinator + 2 workers reported in
-
-
-def test_mp_blocked_runs_clean(sanitize, pair):
-    from repro.parallel.mp_blocked import MpBlockedConfig, mp_blocked_alignments
-
-    mp_blocked_alignments(
-        *pair, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4, threshold=18)
-    )
-    report = assert_clean()
-    assert report.n_processes >= 3
-
-
 def test_pool_backends_run_clean(sanitize, pair):
+    from repro.core import LocalAlignment
     from repro.parallel.pool import AlignmentWorkerPool
 
+    regions = [LocalAlignment(20, 0, 60, 10, 70), LocalAlignment(20, 100, 140, 90, 150)]
     with AlignmentWorkerPool(n_workers=2) as pool:
         pool.wavefront(*pair)
         pool.blocked(*pair)
+        records = pool.phase2(regions, *pair)
+    assert len(records) == len(regions)
     report = assert_clean()
     assert report.n_processes >= 3
     # The coordinator's owner segments (arena + border/progress arrays) all

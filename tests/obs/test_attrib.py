@@ -224,6 +224,15 @@ class TestInlineAttribution:
         assert round_trip["cells_traced"] == a.cells_traced
         assert set(round_trip["stall_seconds_by_cause"]) == set(STALL_CAUSES)
 
+    def test_trace_with_a_retired_kernel_param_still_rebuilds(self, inline_run):
+        import copy
+
+        old = copy.deepcopy(inline_run)
+        for event in old["traceEvents"]:
+            if event.get("name") == "plan:wavefront":
+                event["args"]["spec_params"]["kernel"] = "classic"
+        assert attribute(old).critical_path_cells == attribute(inline_run).critical_path_cells
+
     def test_render_mentions_the_numbers(self, inline_run):
         text = attribute(inline_run).render()
         assert "critical path" in text and "plan:wavefront" in text

@@ -47,9 +47,19 @@ class TestPoolTelemetry:
         with obs.observed() as (tracer, metrics):
             with AlignmentWorkerPool(n_workers=2) as pool:
                 pool.blocked(pair.s, pair.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4))
+        assert {"worker-0", "worker-1"} <= set(tracer.processes())
         assert any(s.name == "tile" for s in tracer.spans)
         assert metrics.counter("cells_computed").value >= 400 * 400
         assert metrics.counter("worker_busy_seconds").value > 0
+
+    def test_pool_wavefront_merges_worker_segments(self, pair):
+        from repro.parallel import AlignmentWorkerPool, MpWavefrontConfig
+
+        with obs.observed() as (tracer, metrics):
+            with AlignmentWorkerPool(n_workers=2) as pool:
+                pool.wavefront(pair.s, pair.t, MpWavefrontConfig(rows_per_exchange=16))
+        assert {"worker-0", "worker-1"} <= set(tracer.processes())
+        assert metrics.counter("cells_computed").value == 400 * 400
 
     def test_pool_without_obs_leaves_no_spans(self, pair):
         from repro.parallel import AlignmentWorkerPool
@@ -58,28 +68,6 @@ class TestPoolTelemetry:
         with AlignmentWorkerPool(n_workers=2) as pool:
             pool.wavefront(pair.s, pair.t)
         assert len(obs.get_tracer().spans) == 0
-
-
-class TestOneShotBackends:
-    def test_mp_wavefront_merges_worker_segments(self, pair):
-        from repro.parallel import MpWavefrontConfig, mp_wavefront_alignments
-
-        with obs.observed() as (tracer, metrics):
-            mp_wavefront_alignments(
-                pair.s, pair.t, MpWavefrontConfig(n_workers=2, rows_per_exchange=16)
-            )
-        assert {"worker-0", "worker-1"} <= set(tracer.processes())
-        assert metrics.counter("cells_computed").value == 400 * 400
-
-    def test_mp_blocked_merges_worker_segments(self, pair):
-        from repro.parallel import MpBlockedConfig, mp_blocked_alignments
-
-        with obs.observed() as (tracer, metrics):
-            mp_blocked_alignments(
-                pair.s, pair.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4)
-            )
-        assert {"worker-0", "worker-1"} <= set(tracer.processes())
-        assert metrics.counter("cells_computed").value >= 400 * 400
 
 
 class TestRunnerClocks:

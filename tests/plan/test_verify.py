@@ -46,7 +46,7 @@ def test_every_planner_backend_kernel_prefilter_combination_verifies():
 
 
 def test_verify_plan_builds_from_a_spec():
-    spec = wavefront_spec(3, group_rows=4, kernel="striped")
+    spec = wavefront_spec(3, group_rows=4)
     assert verify_plan(spec, 48, 60, backend="pool") == []
 
 

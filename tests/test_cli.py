@@ -114,6 +114,43 @@ class TestBadInput:
     def test_exit_codes_are_distinct_and_not_usage_errors(self):
         assert len({EXIT_MISSING_INPUT, EXIT_BAD_FASTA, 0, 1, 2}) == 5
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["align", "--demo", "--top", "-1"], "argument --top: must be >= 0, got -1"),
+            (["search", "q.fa", "db.fa", "--top", "-1"], "argument --top: must be >= 0, got -1"),
+            (
+                ["search", "q.fa", "db.fa", "--workers", "0"],
+                "argument --workers: must be >= 1, got 0",
+            ),
+            (
+                ["align", "--demo", "--backend", "mp", "--mp-workers", "0"],
+                "argument --mp-workers: must be >= 1, got 0",
+            ),
+        ],
+        ids=["align-top", "search-top", "search-workers", "align-mp-workers"],
+    )
+    def test_out_of_range_count_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].endswith(message)
+
+    def test_zero_top_is_accepted(self):
+        assert build_parser().parse_args(["align", "--demo", "--top", "0"]).top == 0
+        assert build_parser().parse_args(["search", "q", "db", "--top", "0"]).top == 0
+
+    def test_align_has_no_kernel_flag_but_search_does(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "--demo", "--kernel", "striped"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+        assert build_parser().parse_args(["search", "q", "db"]).kernel == "classic"
+        args = build_parser().parse_args(["search", "q", "db", "--kernel", "striped"])
+        assert args.kernel == "striped"
+
     def test_module_entry_point_exits_with_the_code(self, files):
         import os
         import subprocess
