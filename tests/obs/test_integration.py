@@ -47,10 +47,18 @@ class TestPoolTelemetry:
         with obs.observed() as (tracer, metrics):
             with AlignmentWorkerPool(n_workers=2) as pool:
                 pool.blocked(pair.s, pair.t, MpBlockedConfig(n_workers=2, n_bands=4, n_blocks=4))
-        assert {"worker-0", "worker-1"} <= set(tracer.processes())
         assert any(s.name == "tile" for s in tracer.spans)
         assert metrics.counter("cells_computed").value >= 400 * 400
         assert metrics.counter("worker_busy_seconds").value > 0
+
+    def test_pool_blocked_merges_worker_segments(self, pair):
+        from repro.parallel import AlignmentWorkerPool, MpBlockedConfig
+
+        with obs.observed() as (tracer, metrics):
+            with AlignmentWorkerPool(n_workers=2) as pool:
+                pool.blocked(pair.s, pair.t, MpBlockedConfig(n_bands=4, n_blocks=4))
+        assert {"worker-0", "worker-1"} <= set(tracer.processes())
+        assert metrics.counter("cells_computed").value >= 400 * 400
 
     def test_pool_wavefront_merges_worker_segments(self, pair):
         from repro.parallel import AlignmentWorkerPool, MpWavefrontConfig

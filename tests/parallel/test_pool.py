@@ -180,6 +180,21 @@ class TestPoolMatchesInline:
                 encode(pair.t)[region.t_start : region.t_end],
             ).score
 
+    def test_phase2_records_match_serial_nw(self, pool):
+        gp = genome_pair(800, 800, n_regions=2, region_length=60, mutation_rate=0.05, rng=54)
+        regions = [
+            LocalAlignment(10, p.s_start, p.s_end, p.t_start, p.t_end)
+            for p in gp.regions
+        ]
+        records = pool.phase2(regions, gp.s, gp.t)
+        assert len(records) == 2
+        for rec in records:
+            reference = needleman_wunsch(
+                encode(gp.s)[rec.source.s_start : rec.source.s_end],
+                encode(gp.t)[rec.source.t_start : rec.source.t_end],
+            )
+            assert rec.similarity == reference.score
+
     def test_phase2_sorted_by_size(self, pool):
         gp = genome_pair(1000, 1000, n_regions=0, rng=57)
         regions = [
@@ -216,15 +231,29 @@ class TestPoolMatchesInline:
 class TestPoolBehaviour:
     """What the strategies promise on real workers, whatever the pool size."""
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: MpWavefrontConfig(n_workers=0), id="wavefront"),
+            pytest.param(lambda: MpWavefrontConfig(rows_per_exchange=0), id="wavefront-rows"),
+            pytest.param(lambda: MpBlockedConfig(n_workers=0), id="blocked"),
+            pytest.param(lambda: MpBlockedConfig(n_bands=0), id="blocked-bands"),
+        ],
+    )
+    def test_config_validation(self, make):
         with pytest.raises(ValueError):
-            MpWavefrontConfig(n_workers=0)
+            make()
+
+    def test_phase2_empty_region_list(self, trio_pool):
+        gp = genome_pair(100, 100, n_regions=0, rng=55)
+        assert trio_pool.phase2([], gp.s, gp.t) == []
+
+    def test_pipeline_rejects_zero_workers(self):
+        from repro.strategies import run_mp_pipeline
+
+        gp = genome_pair(100, 100, n_regions=0, rng=56)
         with pytest.raises(ValueError):
-            MpWavefrontConfig(rows_per_exchange=0)
-        with pytest.raises(ValueError):
-            MpBlockedConfig(n_workers=0)
-        with pytest.raises(ValueError):
-            MpBlockedConfig(n_bands=0)
+            run_mp_pipeline(gp.s, gp.t, n_workers=0)
 
     @pytest.mark.parametrize("strategy", ["wavefront", "blocked"])
     def test_single_worker_finds_planted_region(self, solo_pool, strategy):
