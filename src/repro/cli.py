@@ -65,6 +65,18 @@ def _at_least(minimum: int):
     return parse
 
 
+def _fraction(text: str) -> float:
+    """argparse ``type`` for a float in ``[0, 1)``; anything else is a usage
+    error (exit 2), not a traceback."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
+_fraction.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _fasta_input(path, read, *args):
     """Call ``read(*args)``, turning a missing or headerless FASTA ``path``
     into an :class:`InputError`."""
@@ -216,11 +228,6 @@ def cmd_search(args) -> int:
     if not queries:
         raise SystemExit("empty query FASTA")
     query = queries[0]
-    if args.workers > 1 and args.shards > args.workers:
-        raise SystemExit(
-            f"--shards {args.shards} exceeds --workers {args.workers}: "
-            "each shard needs its own worker group"
-        )
     config = SearchConfig(
         top_k=args.top,
         max_lanes=args.batch_lanes,
@@ -241,17 +248,16 @@ def cmd_search(args) -> int:
                 max_waste=config.resolved_max_waste,
             ),
         )
-        repeats = max(1, args.repeat)
         if args.workers > 1:
             from .parallel import AlignmentWorkerPool
 
             with AlignmentWorkerPool(n_workers=args.workers) as pool:
                 runs = [
                     search_db(query.codes, packed, config, pool=pool)
-                    for _ in range(repeats)
+                    for _ in range(args.repeat)
                 ]
         else:
-            runs = [search_db(query.codes, packed, config) for _ in range(repeats)]
+            runs = [search_db(query.codes, packed, config) for _ in range(args.repeat)]
         result = runs[0]
     print(
         f"query {query.name} ({len(query.codes)} bp) vs {result.n_sequences} "
@@ -595,13 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--batch-lanes",
-        type=int,
+        type=_at_least(1),
         default=None,
         help="max sequences per SIMD batch (default: 512 classic, 4096 striped)",
     )
     p_search.add_argument(
         "--max-waste",
-        type=float,
+        type=_fraction,
         default=None,
         help="max padded fraction of a batch before a new length bucket is cut "
         "(default: 0.15 classic, 0.5 striped)",
@@ -623,11 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--shards",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="deal the database round-robin into this many disjoint shards, "
-        "each scanned independently and tournament-merged (rankings are "
-        "unchanged; with --workers, shards may not exceed workers)",
+        "each keeping its own top-k and tournament-merged (rankings are "
+        "unchanged; any worker scans any shard, so the count is independent "
+        "of --workers)",
     )
     p_search.add_argument(
         "--cache",
@@ -638,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--repeat",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="run the search this many times (with --cache, runs after the "
         "first are hits; reported below the ranking)",
@@ -697,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--plans",
         action="store_true",
-        help="also statically verify every planner x backend x kernel x "
-        "prefilter combination (PLAN001-PLAN006)",
+        help="also statically verify every planner x backend and search "
+        "kernel x shard combination (PLAN001-PLAN006)",
     )
     p_check.add_argument(
         "--baseline",

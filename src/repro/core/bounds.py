@@ -47,7 +47,6 @@ __all__ = [
     "kmer_bound",
     "kmer_hits",
     "length_bound",
-    "seed_order",
 ]
 
 #: Tiers in ascending evaluation cost; a tiered filter runs them in this
@@ -236,28 +235,15 @@ ADMISSIBLE_BOUNDS: dict[
 }
 
 
-def seed_order(lengths: np.ndarray, query_len: int, count: int) -> np.ndarray:
-    """Database indices of the ``count`` highest-ceiling sequences.
-
-    The length tier makes ``min(length, query_len)`` a monotone proxy for
-    every sequence's best possible ceiling, so scanning the longest targets
-    first establishes a strong top-k threshold before any bound is checked.
-    Ties break toward the smaller index (deterministic).
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    proxy = np.minimum(lengths, query_len)
-    order = np.lexsort((np.arange(len(lengths), dtype=np.int64), -proxy))
-    return order[: max(0, count)]
-
-
 class TieredFilter:
-    """Evaluate bound tiers in cost order, pruning lanes below a threshold.
+    """Evaluate bound tiers in cost order over packed buckets.
 
-    One instance per (query, scoring, tiers) triple; :meth:`survivors` is
-    called once per packed bucket by both the planned filter tiles and the
-    pool coordinator, so every backend prunes through this single code path.
-    Pruning is strict (``ceiling < threshold``): a tie must survive because
-    an equal score at a smaller index still displaces the current k-th hit.
+    One instance per (query, scoring, tiers) triple; :meth:`ceilings` is
+    called once per packed bucket by the search coordinator
+    (:func:`repro.strategies.prefilter.pruned_search`), the one place every
+    backend prunes.  Pruning there is strict (``ceiling < threshold``): a
+    tie must survive because an equal score at a smaller index still
+    displaces the current k-th hit.
     """
 
     def __init__(
@@ -275,15 +261,15 @@ class TieredFilter:
 
     def ceilings(
         self, codes: np.ndarray, lengths: np.ndarray
-    ) -> tuple[np.ndarray, dict[str, np.ndarray], int]:
-        """``(combined, per_tier, bound_cells)`` ceilings for every lane.
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """``(combined, per_tier)`` ceilings for every lane.
 
-        The thresholdless form used by the pool coordinator: it needs every
-        lane's ceiling up front -- both to scan the highest-ceiling prefix
-        first (strongest threshold earliest) and to prune the rest in one
-        vectorized comparison once that threshold exists.  ``combined`` is
-        the min over applicable tiers (each admissible, so their min is);
-        ``per_tier`` keeps the individual ceilings for prune attribution.
+        The coordinator needs every lane's ceiling up front -- both to scan
+        the highest-ceiling prefix first (strongest threshold earliest) and
+        to prune the rest in one vectorized comparison once that threshold
+        exists.  ``combined`` is the min over applicable tiers (each
+        admissible, so their min is); ``per_tier`` keeps the individual
+        ceilings for prune attribution.
         """
         codes = np.asarray(codes)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -291,47 +277,10 @@ class TieredFilter:
         # threshold these ceilings meet is itself a float (TopK.threshold).
         combined = np.full(len(lengths), np.inf, dtype=np.float64)  # repro: noqa[DTYPE002]
         per_tier: dict[str, np.ndarray] = {}
-        bound_cells = 0
         for tier in self.tiers:
-            if tier != "length":
-                bound_cells += int(lengths.sum())
             values = ADMISSIBLE_BOUNDS[tier](self.ctx, codes, lengths)
             if values is None:
                 continue
             per_tier[tier] = values
             combined = np.minimum(combined, values)
-        return combined, per_tier, bound_cells
-
-    def survivors(
-        self, codes: np.ndarray, lengths: np.ndarray, threshold: float
-    ) -> tuple[np.ndarray, dict[str, int], int]:
-        """``(keep_mask, pruned_per_tier, bound_cells)`` for one bucket.
-
-        ``bound_cells`` is the number of residues the bound evaluations
-        actually touched (the filter's own work, for attribution and the
-        simulator's virtual clock).
-        """
-        codes = np.asarray(codes)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        keep = np.ones(len(lengths), dtype=bool)
-        pruned: dict[str, int] = {}
-        bound_cells = 0
-        if threshold == float("-inf") or not self.tiers:
-            return keep, pruned, bound_cells
-        for tier in self.tiers:
-            live = np.flatnonzero(keep)
-            if live.size == 0:
-                break
-            # The length tier reads only lane lengths; the others scan the
-            # surviving lanes' residues once.
-            if tier != "length":
-                bound_cells += int(lengths[live].sum())
-            ceilings = ADMISSIBLE_BOUNDS[tier](self.ctx, codes[live], lengths[live])
-            if ceilings is None:  # tier inapplicable for this scoring
-                continue
-            drop = ceilings < threshold
-            n_drop = int(drop.sum())
-            if n_drop:
-                pruned[tier] = pruned.get(tier, 0) + n_drop
-                keep[live[drop]] = False
-        return keep, pruned, bound_cells
+        return combined, per_tier

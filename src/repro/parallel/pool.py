@@ -27,12 +27,17 @@ The pool therefore serves every plan kind the planner can spell -- the
 non-blocked wave-front (Section 4.2), the blocked wave-front (Section 4.3),
 the pre_process scoreboard (Section 5) -- plus the phase-2 scattered mapping
 (Section 4.4) and the database-search job
-(:meth:`AlignmentWorkerPool.search`), which replaces the static per-role
+(:meth:`AlignmentWorkerPool.run_search_plan`, reached through
+:class:`repro.plan.PoolExecutor`), which replaces the static per-role
 partition with a *dynamic* work queue: the packed database is published once
-through the arena, each length-bucket tile of the search graph goes on a
-shared queue, and workers pull the next tile whenever they finish one
-(greedy self-scheduling), so a skewed bucket cannot stall the rest of the
-pool.
+through the arena, every length-bucket tile of the search graph -- all
+shards' tiles alike -- goes on the one shared queue, and workers pull the
+next tile whenever they finish one (greedy self-scheduling), so a skewed
+bucket cannot stall the rest of the pool.  Shards are a logical partition
+only: each worker keeps one top-k heap per shard and the coordinator
+tournament-merges them.  Pruning happens coordinator-side before the graph
+is planned (:func:`repro.strategies.prefilter.pruned_search`), identically
+for every backend.
 """
 
 from __future__ import annotations
@@ -64,8 +69,6 @@ from ..plan import (
     finalize_plan,
     make_runtime,
     maybe_verify,
-    plan_search_buckets,
-    search_blob,
     state_shape,
     wavefront_spec,
 )
@@ -274,29 +277,27 @@ def _job_phase2(role: int, job: dict, arenas: dict) -> list:
     return out
 
 
-def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
+def _job_search(role: int, job: dict, arenas: dict, work) -> list:
     """Dynamic-dispatch database search: pull graph tiles until SENTINEL.
 
-    The job's ``shard_of`` map assigns this worker to one database shard:
-    the worker attaches that shard's arena (``s`` slot the query, ``t`` the
-    shard's flat bucket blob, see :func:`repro.plan.search_blob`) and pulls
-    from that shard's work queue -- workers sharing a shard self-schedule
-    greedily off the same queue, so an unsharded job (every worker in group
-    0) behaves exactly as before.  Tiles carry shard-local offsets, so the
-    runtime runs them against the private blob at base 0.  The worker's
-    :class:`~repro.plan.SearchRuntime` keeps a local top-k (deterministic
-    total order, so the merge is interleaving-independent) and stops at the
-    first SENTINEL -- exactly one per worker is enqueued ahead of the job;
-    the emission is tagged with the shard for the coordinator's tournament
-    reduce.
+    The worker attaches the job's arena (``s`` slot the query, ``t`` the
+    concatenated shard blobs, see :func:`repro.plan.search_blob`) and builds
+    the same :class:`~repro.plan.SearchRuntime` the inline backend does --
+    one top-k per shard, ``shard_bases`` mapping shard-local offsets into
+    the blob -- so any worker can scan any shard's tile.  The local heaps
+    keep a deterministic total order, so the coordinator's merge is
+    interleaving-independent.  The worker stops at the first SENTINEL;
+    exactly one per worker is enqueued behind the tiles.
     """
-    shard = job.get("shard_of", {}).get(role, 0)
-    handles = job.get("arenas")
-    handle = handles[shard] if handles else job["arena"]
-    work = works[shard]
-    q, blob = _get_pair(arenas, handle)
+    q, blob = _get_pair(arenas, job["arena"])
     runtime = SearchRuntime(
-        q, blob, job["scoring"], job["top_k"], kernel=job.get("kernel", "classic")
+        q,
+        blob,
+        job["scoring"],
+        job["top_k"],
+        kernel=job["kernel"],
+        n_shards=job["n_shards"],
+        shard_bases=job["shard_bases"],
     )
     tracer = get_tracer()
     tracing = tracer.enabled
@@ -334,9 +335,7 @@ def _job_search(role: int, job: dict, arenas: dict, works) -> dict:
         metrics.gauge("search_queue_depth").set(queue_depth)
         if busy_s > 0.0:
             metrics.gauge(f"search_worker{role}_gcups").set(gcups(runtime.cells, busy_s))
-    out = runtime.emit(role)
-    out["shard"] = shard
-    return out
+    return runtime.emit(role)
 
 
 _JOB_KINDS = {
@@ -345,7 +344,7 @@ _JOB_KINDS = {
 }
 
 
-def _pool_worker(role: int, tasks, results, works) -> None:
+def _pool_worker(role: int, tasks, results, work) -> None:
     arenas: dict = {}
     try:
         while True:
@@ -358,7 +357,7 @@ def _pool_worker(role: int, tasks, results, works) -> None:
                 # telemetry segment on the way out, error or not.
                 with observed_worker(job.get("obs"), f"worker-{role}"):
                     if job["kind"] == "search":
-                        payload = _job_search(role, job, arenas, works)
+                        payload = _job_search(role, job, arenas, work)
                     else:
                         payload = _JOB_KINDS[job["kind"]](role, job, arenas)
                 results.put((job["id"], role, "ok", payload))
@@ -395,16 +394,15 @@ class AlignmentWorkerPool:
         ctx = mp.get_context()
         self._tasks = [ctx.Queue() for _ in range(n_workers)]
         self._results = ctx.Queue()
-        # The dynamic work queues for search jobs -- one per worker so a
-        # sharded job can give each shard group its own queue (shard s uses
-        # queue s).  Queues can only be inherited at fork time, so they
-        # exist for the pool's whole life whatever n_shards later jobs ask
-        # for; all are empty between jobs (drained even on failure).
-        self._works = [ctx.Queue() for _ in range(n_workers)]
+        # The dynamic work queue every search job's tiles go on, whatever
+        # its shard count.  Queues can only be inherited at fork time, so it
+        # exists for the pool's whole life; it is empty between jobs
+        # (drained even on failure).
+        self._work = ctx.Queue()
         self._procs = [
             ctx.Process(
                 target=_pool_worker,
-                args=(w, self._tasks[w], self._results, self._works),
+                args=(w, self._tasks[w], self._results, self._work),
                 daemon=True,
             )
             for w in range(n_workers)
@@ -664,45 +662,6 @@ class AlignmentWorkerPool:
 
     # -- database search -----------------------------------------------------
 
-    def search(
-        self,
-        query,
-        packed,
-        top_k: int = 10,
-        scoring: Scoring = DEFAULT_SCORING,
-        kernel: str = "classic",
-        n_shards: int = 1,
-    ) -> list[tuple[int, int]]:
-        """One query against a :class:`repro.seq.PackedDatabase`.
-
-        Plans one independent tile per length bucket
-        (:func:`repro.plan.plan_search_buckets`) and runs the graph through
-        :meth:`run_search_plan`; returns the merged ``(score, index)``
-        ranking, identical to a sequential scan.  With ``n_shards > 1`` the
-        database is dealt into shards, each owned by its own worker group
-        and arena (see :meth:`run_search_plan`).
-        """
-        query = encode(query)
-        if not packed.buckets:
-            return []
-        if n_shards > 1:
-            from ..seq.db import shard_database
-
-            shards = shard_database(packed, n_shards)
-            graph = plan_search_buckets(
-                packed,
-                len(query),
-                top_k=top_k,
-                kernel=kernel,
-                n_shards=n_shards,
-                shards=shards,
-            )
-            blob = search_blob(shards)
-        else:
-            graph = plan_search_buckets(packed, len(query), top_k=top_k, kernel=kernel)
-            blob = search_blob(packed)
-        return self.run_search_plan(graph, query, blob, scoring=scoring).hits
-
     def run_search_plan(
         self,
         graph: TaskGraph,
@@ -713,89 +672,60 @@ class AlignmentWorkerPool:
     ) -> ExecutionResult:
         """Dynamic-dispatch execution of one search graph.
 
-        Unsharded: publishes the query plus the flat bucket blob through a
-        single arena, enqueues every tile on work queue 0 (then one SENTINEL
-        per worker), and broadcasts the job; workers pull tiles greedily and
-        return local top-k heaps.  Sharded (``graph.n_shards > 1``): the
-        concatenated blob is cut back into per-shard blobs along
-        ``params["shard_bases"]``, each shard gets its *own* arena and work
-        queue, and worker ``r`` serves shard ``r % n_shards`` -- long-lived
-        per-shard worker groups, each self-scheduling off its shard's queue.
-        Emissions come back shard-tagged and :func:`repro.plan.finalize_plan`
-        runs the tournament reduce; the deterministic total order makes the
-        merged ranking interleaving- *and* shard-independent.
+        Publishes the query plus the flat (shard-concatenated) bucket blob
+        through one arena, enqueues every tile on the one work queue (then
+        one SENTINEL per worker), and broadcasts the job; workers pull tiles
+        greedily and return one top-k heap per shard.
+        :func:`repro.plan.finalize_plan` runs the tournament reduce; the
+        deterministic total order makes the merged ranking interleaving-
+        *and* shard-independent.  Called through
+        :class:`repro.plan.PoolExecutor`, which stamps the plan span and
+        runs the strict-mode verifier.
         """
-        if graph.params.get("prefilter"):
-            raise ValueError(
-                "staged (prefilter) search graphs need a shared top-k threshold "
-                "and cannot ride the dynamic work queue; use "
-                "repro.strategies.prefilter.pooled_pruned_search"
-            )
-        n_shards = graph.n_shards
-        if n_shards > self.n_workers:
-            raise ValueError(
-                f"graph wants {n_shards} shards but the pool has only "
-                f"{self.n_workers} workers (one worker group per shard)"
-            )
-        maybe_verify(graph, "pool")
-        tracer = get_tracer()
-        # The search graph has no rebuildable spec, so everything attribution
-        # needs (tiles/cells/critical-path) rides this span's args directly.
-        span_args = graph.span_args(backend="pool") if tracer.enabled else {}
-        shard_of = {role: role % n_shards for role in range(self.n_workers)}
-        bases = list(graph.params.get("shard_bases") or (0,) * n_shards)
-        bases.append(int(blob.size))
-        arenas: list[SequenceArena] = []
-        with tracer.span(f"plan:{graph.kind}", "coordination", **span_args):
+        arena = None
+        try:
+            # The arena is created inside the try so that *any* failure
+            # after it exists -- including the metrics block below --
+            # unwinds it.
+            with get_tracer().span(
+                "shm_publish", "communication", bytes=int(query.size + blob.size)
+            ):
+                arena = SequenceArena(query, blob)
+            if is_enabled():
+                metrics = get_metrics()
+                metrics.counter("arena_bytes_published").inc(int(query.size + blob.size))
+                metrics.gauge("search_queue_chunks").set(len(graph.tiles))
             try:
-                # Arenas are created inside the try so that *any* failure
-                # after one exists -- including the metrics block below --
-                # unwinds them; previously an exception between creation and
-                # dispatch leaked the named segment.
-                with get_tracer().span(
-                    "shm_publish", "communication", bytes=int(query.size + blob.size)
-                ):
-                    for s in range(n_shards):
-                        arenas.append(
-                            SequenceArena(query, blob[bases[s] : bases[s + 1]])
-                        )
-                if is_enabled():
-                    metrics = get_metrics()
-                    metrics.counter("arena_bytes_published").inc(
-                        n_shards * int(query.size) + int(blob.size)
-                    )
-                    metrics.gauge("search_queue_chunks").set(len(graph.tiles))
-                try:
-                    for tile in graph.tiles:
-                        self._works[tile.shard].put(tile)
-                    for role in range(self.n_workers):
-                        self._works[shard_of[role]].put(SENTINEL)
-                    collected = self._submit(
-                        {
-                            "kind": "search",
-                            "arenas": [a.handle for a in arenas],
-                            "shard_of": shard_of,
-                            "n_shards": n_shards,
-                            "top_k": graph.params["top_k"],
-                            "kernel": graph.params.get("kernel", "classic"),
-                            "scoring": scoring,
-                        },
-                        fail_fast=False,
-                    )
-                except PoolJobError:
-                    # Every worker has reported back (fail_fast=False), so
-                    # nothing is still pulling: leftover tiles and the failed
-                    # worker's sentinel can be drained without starving anyone.
-                    self._drain_work()
-                    raise
-                except BaseException:
-                    # Timeout/crash/interrupt: workers may be mid-pull, so the
-                    # queue cannot be drained safely -- retire the pool.
-                    self.close(join_timeout=1.0)
-                    raise
-            finally:
-                for arena in arenas:
-                    arena.close()
+                for tile in graph.tiles:
+                    self._work.put(tile)
+                for _ in range(self.n_workers):
+                    self._work.put(SENTINEL)
+                collected = self._submit(
+                    {
+                        "kind": "search",
+                        "arena": arena.handle,
+                        "n_shards": graph.n_shards,
+                        "shard_bases": graph.params["shard_bases"],
+                        "top_k": graph.params["top_k"],
+                        "kernel": graph.params.get("kernel", "classic"),
+                        "scoring": scoring,
+                    },
+                    fail_fast=False,
+                )
+            except PoolJobError:
+                # Every worker has reported back (fail_fast=False), so
+                # nothing is still pulling: leftover tiles and the failed
+                # worker's sentinel can be drained without starving anyone.
+                self._drain_work()
+                raise
+            except BaseException:
+                # Timeout/crash/interrupt: workers may be mid-pull, so the
+                # queue cannot be drained safely -- retire the pool.
+                self.close(join_timeout=1.0)
+                raise
+        finally:
+            if arena is not None:
+                arena.close()
         parts = [collected[role] for role in sorted(collected)]
         result = finalize_plan(graph, parts)
         result.backend = "pool"
@@ -804,9 +734,8 @@ class AlignmentWorkerPool:
     def _drain_work(self) -> None:
         import queue as _queue
 
-        for work in self._works:
-            while True:
-                try:
-                    work.get(timeout=0.1)
-                except (_queue.Empty, OSError, ValueError):
-                    break
+        while True:
+            try:
+                self._work.get(timeout=0.1)
+            except (_queue.Empty, OSError, ValueError):
+                break

@@ -122,10 +122,9 @@ class PoolExecutor(Executor):
         if scale != 1:
             raise ValueError("real backends execute actual cells only (scale=1)")
         if graph.kind == "search":
-            raise ValueError(
-                "search graphs carry no rebuildable spec; "
-                "use pool.run_search_plan directly (or pool.search)"
-            )
+            # Search graphs derive from a packed database, not a spec: the
+            # pool publishes the blob and queues the tiles themselves.
+            return self.pool.run_search_plan(graph, s, t, scoring=scoring)
         if graph.spec is None:
             raise ValueError("pool execution needs a graph with a PlanSpec")
         return self.pool.run_plan(

@@ -136,6 +136,8 @@ class TaskGraph:
             "cols": self.shape[1],
             **extra,
         }
+        if self.params.get("prefilter"):
+            args["prefilter"] = ",".join(self.params["prefilter"])
         if self.spec is not None:
             args["spec_kind"] = self.spec.kind
             args["spec_params"] = dict(self.spec.params)

@@ -22,7 +22,7 @@ graph-level breaches):
   :data:`~repro.plan.ir.DYNAMIC`), a work-queue tile inside a static
   schedule, a shard outside ``0..n_shards-1`` (or any non-zero shard in a
   static schedule), a sharded search graph with more shards than
-  processors (the extra shards' tiles would never be dispatched), or --
+  simulated nodes (the sim runs shard ``p`` on node ``p``), or --
   for the wave-front, whose column partition gives every rank work -- a
   rank that owns nothing (its column slice would never be computed).
 * **PLAN004 -- cell-count breach.**  Conservation against the partition
@@ -30,28 +30,26 @@ graph-level breaches):
   payload bounds must tile the DP matrix (or the packed buckets) exactly,
   and nothing may be covered twice or dropped.  This is the check that
   catches a planner whose tiles silently skip rows.  Sharded search graphs
-  are conserved *per shard* (each shard's buckets score every lane exactly
-  once) plus *exactly-once across shards*: no database sequence may appear
-  in two shards, or its duplicate scores would double up in the merge.
+  are conserved *per shard* (each bucket is scored exactly once) plus
+  *exactly-once across shards*: no database sequence may appear in two
+  shards, or its duplicate scores would double up in the merge.
 * **PLAN005 -- deadlock.**  The pool's worker/coordinator handshake is
   simulated as a state machine: each worker walks its own tiles in id
   order, blocking on cross-owner ``done`` flags (static plans) or pulling
-  from the shared queue until the sentinel (search plans).  If no worker
-  can step and work remains, the stuck worker/tile/dependency triple is
-  reported.  With PLAN001 clean this cannot fire -- the smallest unfinished
+  from the one shared queue until the sentinel (search plans).  If no
+  worker can step and work remains, the stuck worker/tile/dependency
+  triple is reported.  With PLAN001 clean this cannot fire -- the smallest unfinished
   id is always runnable -- which is exactly the theorem the simulation
   re-checks instead of assuming.
 * **PLAN006 -- backend illegality.**  A graph handed to an executor that
-  cannot run it: search graphs on :class:`~repro.plan.executors.PoolExecutor`
-  (no rebuildable spec), staged prefilter graphs on the dynamic work queue
-  (workers have no shared top-k threshold, so ``filter`` tiles cannot gate),
-  spec-less pair graphs on the pool, unknown plan kinds on the simulator's
-  choreography table.
+  cannot run it: spec-less pair graphs on the pool (workers rebuild the
+  graph from its spec), unknown plan kinds on the simulator's choreography
+  table.
 
 ``verify_graph``/``verify_plan`` are the library entry points;
 :func:`sweep_plans` enumerates planner x backend combinations (and search
-kernel x prefilter) for ``repro check --plans``; :func:`maybe_verify` is the
-strict-mode hook the executors call (enable with ``REPRO_VERIFY_PLANS=1``
+kernel x shard count) for ``repro check --plans``; :func:`maybe_verify` is
+the strict-mode hook the executors call (enable with ``REPRO_VERIFY_PLANS=1``
 or :func:`set_strict`).
 """
 
@@ -180,7 +178,7 @@ def _check_structure(graph: TaskGraph) -> Iterator[Finding]:
                 graph,
                 "PLAN003",
                 f"tile {tile.id} shard {tile.shard} is outside shards "
-                f"0..{graph.n_shards - 1}: no shard group would run it",
+                f"0..{graph.n_shards - 1}: no shard heap would take its hits",
                 tile.id,
             )
         elif tile.shard != 0 and graph.kind in STATIC_KINDS:
@@ -318,43 +316,28 @@ def _check_cells(graph: TaskGraph) -> Iterator[Finding]:
         yield from _check_search_cells(graph)
 
 
-def _search_stage(tile) -> tuple[str, tuple, tuple[int, ...]]:
-    """``(stage, locator, lane_selection)`` of one search tile's payload."""
-    payload = tile.payload
-    if payload and isinstance(payload[0], str):
-        stage = payload[0]
-        body = payload[2:] if stage == "filter" else payload[1:]
-        return stage, tuple(body[:5]), tuple(body[5])
-    locator = tuple(payload[:5])
-    return "dp", locator, tuple(range(len(locator[3])))
-
-
 def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
     query_len = graph.params.get("query_len")
     if query_len is None:
         yield _finding(graph, "PLAN004", "search params carry no 'query_len'")
         return
-    covered: dict[tuple, set[int]] = {}  # (shard, locator) -> lanes scored
+    scanned: set[tuple] = set()  # (shard, locator) of every tile so far
     index_shard: dict[int, int] = {}  # db index -> the shard that owns it
     for tile in graph.tiles:
-        stage, loc, sel = _search_stage(tile)
-        lengths = loc[3]
-        residues = sum(lengths[l] for l in sel)
-        expected = residues if stage == "filter" else query_len * residues
+        loc = tuple(tile.payload[:5])
+        lengths, indices = loc[3], loc[4]
+        expected = query_len * sum(lengths)
         if tile.cells != expected:
             yield _finding(
                 graph,
                 "PLAN004",
-                f"tile {tile.id} ({stage}) claims {tile.cells} cells but its "
-                f"{len(sel)} selected lanes cover {expected}",
+                f"tile {tile.id} claims {tile.cells} cells but its "
+                f"{len(lengths)} lanes cover {expected}",
                 tile.id,
             )
-        if stage == "filter":
-            continue  # bound evaluations do not consume DP coverage
         # exactly-once across shards: a db sequence in two shards would be
         # scored twice and its duplicate could double up in the merge
-        for lane in sel:
-            index = loc[4][lane]
+        for index in indices:
             owner_shard = index_shard.setdefault(index, tile.shard)
             if owner_shard != tile.shard:
                 yield _finding(
@@ -365,30 +348,16 @@ def _check_search_cells(graph: TaskGraph) -> Iterator[Finding]:
                     f"each sequence must live in exactly one shard",
                     tile.id,
                 )
-        # per-shard conservation: within its shard, each bucket lane once
-        bucket = covered.setdefault((tile.shard, loc), set())
-        doubled = bucket.intersection(sel)
-        if doubled:
+        # per-shard conservation: within its shard, each bucket once
+        if (tile.shard, loc) in scanned:
             yield _finding(
                 graph,
                 "PLAN004",
-                f"tile {tile.id} re-aligns lanes {sorted(doubled)} of the "
-                f"bucket at offset {loc[0]} (shard {tile.shard}): each lane "
-                f"must be scored once",
+                f"tile {tile.id} re-aligns the bucket at offset {loc[0]} "
+                f"(shard {tile.shard}): each bucket must be scored once",
                 tile.id,
             )
-        bucket.update(sel)
-    for (shard, loc), lanes_seen in covered.items():
-        expected_lanes = set(range(len(loc[3])))
-        missing = sorted(expected_lanes - lanes_seen)
-        if missing:
-            yield _finding(
-                graph,
-                "PLAN004",
-                f"lanes {missing} of the bucket at offset {loc[0]} (shard "
-                f"{shard}) are never aligned: their sequences would vanish "
-                f"from the ranking",
-            )
+        scanned.add((tile.shard, loc))
 
 
 # -- PLAN005: the pool handshake as a state machine ------------------------
@@ -400,14 +369,13 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
     Static plans: one cursor per rank over its id-ordered tiles; a cursor
     may advance when every dependency's done flag is up (same-owner deps
     are satisfied by program order, cross-owner ones by the shared array).
-    Search plans: one cursor per *shard queue* (unsharded = the single
-    queue); workers pull any queued tile whose deps are done --
+    Search plans: one cursor over the single work queue, which every shard's
+    tiles share; workers pull any queued tile whose deps are done --
     dependency-bearing tiles on a dynamic queue only work because ids are
-    enqueued in order, which PLAN001 already guarantees, and cross-shard
-    edges (which no shard group could ever satisfy locally) surface here as
-    a stuck cursor.  Either way, if no cursor can advance while work
-    remains, that is the deadlock the runtime would experience as a starved
-    ``poll_until`` (static) or a worker blocked past the sentinel (search).
+    enqueued in order, which PLAN001 already guarantees.  Either way, if no
+    cursor can advance while work remains, that is the deadlock the runtime
+    would experience as a starved ``poll_until`` (static) or a worker
+    blocked past the sentinel (search).
     """
     # Skip the simulation if the structure is already broken in a way that
     # would make every step report the same PLAN001 breach again.
@@ -421,10 +389,8 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
         walks = [
             [t for t in tiles if t.owner == rank] for rank in range(graph.n_procs)
         ]
-    else:  # one queue per shard; queue order = enqueue order = id order
-        walks = [
-            [t for t in tiles if t.shard == s] for s in range(max(1, graph.n_shards))
-        ]
+    else:  # one queue; queue order = enqueue order = id order
+        walks = [list(tiles)]
     cursors = [0] * len(walks)
     progress = True
     while progress:
@@ -441,11 +407,7 @@ def _check_deadlock(graph: TaskGraph) -> Iterator[Finding]:
         if cursors[w] < len(walk):
             tile = walk[cursors[w]]
             blocked_on = [d for d in tile.deps if not done[by_pos[d]]]
-            who = (
-                f"worker {w}"
-                if graph.kind in STATIC_KINDS
-                else f"shard {w}'s work queue"
-            )
+            who = f"worker {w}" if graph.kind in STATIC_KINDS else "the work queue"
             yield _finding(
                 graph,
                 "PLAN005",
@@ -471,55 +433,13 @@ def _check_backend(graph: TaskGraph, backend: str) -> Iterator[Finding]:
             f"exists for it (known: {', '.join(known)})",
         )
         return
-    if backend == "pool":
-        if graph.kind == "search":
-            if graph.params.get("prefilter"):
-                yield _finding(
-                    graph,
-                    "PLAN006",
-                    "staged (prefilter) search graphs cannot ride the dynamic "
-                    "work queue: workers share no top-k threshold, so filter "
-                    "tiles cannot gate their dp tiles; the pool prunes "
-                    "coordinator-side instead (strategies.prefilter)",
-                )
-            staged = [
-                t.id
-                for t in graph.tiles
-                if t.payload and isinstance(t.payload[0], str)
-            ]
-            if staged and not graph.params.get("prefilter"):
-                yield _finding(
-                    graph,
-                    "PLAN006",
-                    f"tiles {staged[:4]} carry staged payloads but the graph "
-                    f"does not declare a prefilter: workers would misread the "
-                    f"locator",
-                    staged[0],
-                )
-            tiles = graph.tiles
-            for tile in tiles:
-                crossing = [
-                    d
-                    for d in tile.deps
-                    if 0 <= d < len(tiles) and tiles[d].shard != tile.shard
-                ]
-                if crossing:
-                    yield _finding(
-                        graph,
-                        "PLAN006",
-                        f"tile {tile.id} (shard {tile.shard}) depends on "
-                        f"tiles {crossing} in other shards: shard groups "
-                        f"share no done flags, so the pool cannot order "
-                        f"across queues",
-                        tile.id,
-                    )
-        elif graph.spec is None:
-            yield _finding(
-                graph,
-                "PLAN006",
-                f"pool execution of a {graph.kind!r} graph needs a rebuildable "
-                f"PlanSpec (workers ship the spec, not thousands of tiles)",
-            )
+    if backend == "pool" and graph.kind != "search" and graph.spec is None:
+        yield _finding(
+            graph,
+            "PLAN006",
+            f"pool execution of a {graph.kind!r} graph needs a rebuildable "
+            f"PlanSpec (workers ship the spec, not thousands of tiles)",
+        )
 
 
 def verify_graph(graph: TaskGraph, backend: str = "inline") -> list[Finding]:
@@ -614,16 +534,12 @@ def sweep_plans(
     n_procs: int = 4,
     shape: tuple[int, int] = (96, 128),
     kernels: Sequence[str] = ("classic", "striped"),
-    prefilters: Sequence[tuple[str, ...]] = ((), ("length", "composition", "kmer")),
 ) -> list[tuple[str, str, Finding]]:
-    """Verify every pair plan x backend and search kernel x prefilter combination.
+    """Verify every pair plan x backend and search kernel x shard combination.
 
     Returns ``(plan description, backend, finding)`` triples -- empty when
     every combination proves out, which is what CI's ``check --plans`` job
-    gates on.  Staged search graphs are verified on the backends that can
-    run them (inline and sim); their pool-side legality *rejection* is a
-    separate assertion in ``tests/plan/test_verify.py``, not a sweep
-    failure.
+    gates on.
     """
     rows, cols = shape
     breaches: list[tuple[str, str, Finding]] = []
@@ -635,20 +551,12 @@ def sweep_plans(
                 breaches.append((label, backend, finding))
     packed = _sweep_packed()
     for kernel in kernels:
-        for prefilter in prefilters:
-            for n_shards in (1, 2, 4):
-                graph = plan_search_buckets(
-                    packed,
-                    query_len=120,
-                    top_k=5,
-                    kernel=kernel,
-                    prefilter=prefilter,
-                    n_shards=n_shards,
-                )
-                tag = f"{'+' + ','.join(prefilter) if prefilter else ''}"
-                label = f"search[{kernel}{tag}]x{n_shards}"
-                backends = ("inline", "sim") if prefilter else BACKENDS
-                for backend in backends:
-                    for finding in verify_graph(graph, backend):
-                        breaches.append((label, backend, finding))
+        for n_shards in (1, 2, 4):
+            graph = plan_search_buckets(
+                packed, query_len=120, top_k=5, kernel=kernel, n_shards=n_shards
+            )
+            label = f"search[{kernel}]x{n_shards}"
+            for backend in BACKENDS:
+                for finding in verify_graph(graph, backend):
+                    breaches.append((label, backend, finding))
     return breaches

@@ -186,7 +186,7 @@ def pack_subset(
 
     The pruned search path uses this twice: to cut the seed prefix into its
     own graph, and to re-pack filter survivors so lane occupancy stays high
-    before shipping to the pool.  Lanes keep their **original** database
+    before scanning them.  Lanes keep their **original** database
     indices (so rankings merge exactly with hits from other subsets), and
     ``names``/``lengths`` stay the full original arrays -- ``n_sequences`` /
     ``total_residues`` of the returned database therefore describe the

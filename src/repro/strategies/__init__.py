@@ -27,7 +27,7 @@ from .cache import DEFAULT_CACHE, SearchCache, cache_key
 from .prefilter import (
     AUTO_MIN_SEQUENCES,
     PREFILTER_MODES,
-    pooled_pruned_search,
+    pruned_search,
     resolve_prefilter,
 )
 from .retrieval import InterestingRegion, interesting_regions, retrieve_alignments
@@ -96,7 +96,7 @@ __all__ = [
     "explicit_tiling",
     "hetero_serial_time",
     "interesting_regions",
-    "pooled_pruned_search",
+    "pruned_search",
     "resolve_prefilter",
     "run_blocked",
     "run_hetero",

@@ -1,45 +1,48 @@
-"""Tiered exact prefiltering in front of the database search.
+"""Exact score-bound pruning: the one database-search path of every backend.
 
 ALAE-style pruning (PAPERS.md): before paying the full Smith-Waterman scan
 of a database sequence, check whether any cheap *admissible* score ceiling
 (:mod:`repro.core.bounds`) already proves it cannot enter the top-k.  The
 filter is exact by construction -- a sequence is dropped only when its
-ceiling is strictly below the current k-th score, and a tie must survive
-because an equal score at a smaller index still displaces the k-th hit --
-so rankings stay bitwise identical to :func:`~repro.strategies.search.search_db_sequential`.
+ceiling is strictly below a k-th score some scanned sequences already reach,
+and a tie must survive because an equal score at a smaller index still
+displaces the k-th hit -- so rankings stay bitwise identical to
+:func:`~repro.strategies.search.search_db_sequential`.
 
-Two integration shapes share the bound code:
+:func:`pruned_search` runs on the coordinator, whatever executes the tiles:
 
-* **Inline / sim** -- :func:`repro.plan.plan_search_buckets` grows the
-  filter stage directly into the task graph (``seed`` -> ``filter`` ->
-  ``dp`` tiles) and :class:`repro.plan.SearchRuntime` tightens the
-  threshold progressively as tiles retire in id order.
-* **Pool** -- :func:`pooled_pruned_search` here: the dynamic work queue
-  cannot share a threshold across worker processes, so the coordinator
-  scans the highest-ceiling *seed* prefix through the pool first, filters
-  the remaining sequences against the seeded threshold in one vectorized
-  pass, then re-packs the survivors into fresh buckets
-  (:func:`repro.seq.db.pack_subset`) so lane occupancy stays high before
-  shipping the second (now much smaller) graph.  The seed-time threshold is
-  stale relative to the inline path's running one, but staleness only keeps
-  *more* sequences -- never fewer -- so exactness is unaffected.
+1. one vectorized bound sweep gives every lane its ceilings;
+2. the highest-ceiling lanes form a *seed* prefix, scanned first as its own
+   graph, so the threshold is as strong as the bounds can make it before
+   any pruning decision;
+3. every other lane whose ceiling falls strictly below the seeded
+   threshold is pruned in one comparison;
+4. the survivors are re-packed into dense buckets
+   (:func:`repro.seq.db.pack_subset`) and scanned as a second graph.
+
+Both graphs go through the same ``Executor.run(graph, query, blob,
+scoring)`` call: :class:`~repro.plan.InlineExecutor` in-process,
+:class:`~repro.plan.PoolExecutor` over a worker pool,
+:class:`~repro.plan.SimExecutor` on the simulated cluster.  The seeded
+threshold is a lower bound on the final k-th score, and pruning against a
+lower threshold only keeps *more* sequences, never fewer.  With pruning off
+the whole database is one graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.bounds import DEFAULT_KMER_K, TieredFilter
+from ..core.bounds import TieredFilter
 from ..core.topk import TopK
 from ..obs import get_metrics, get_tracer, is_enabled
 from ..plan import plan_search_buckets, search_blob
-from ..plan.runtime import empty_search_stats
 from ..seq.db import PackedDatabase, pack_subset, shard_database
 
 __all__ = [
     "AUTO_MIN_SEQUENCES",
     "PREFILTER_MODES",
-    "pooled_pruned_search",
+    "pruned_search",
     "resolve_prefilter",
 ]
 
@@ -67,129 +70,96 @@ def resolve_prefilter(mode: str, n_sequences: int) -> tuple[str, ...]:
     return _MODE_TIERS[mode]
 
 
+#: Padding allowed per bucket of the seed graph.  The seed prefix is only
+#: :func:`default_seed_count` lanes, so its cost is one kernel dispatch per
+#: bucket and query row, not padded cells: packing it at the classic 15%
+#: cut six buckets where 50% cuts three, and the search call ran 7% faster on
+#: the search-cli perfbench inputs and 26% faster on search-homolog.
+SEED_MAX_WASTE = 0.5
+
+
 def default_seed_count(top_k: int) -> int:
     """Seed prefix size: enough lanes to saturate the top-k threshold."""
     return max(32, 2 * top_k)
 
 
-def pooled_pruned_search(
+def pruned_search(
     query: np.ndarray,
     packed: PackedDatabase,
     config,
-    pool,
+    executor,
     tiers: tuple[str, ...],
-    kmer_k: int = DEFAULT_KMER_K,
-) -> tuple[list[tuple[int, int]], dict]:
-    """Exact pruned search over a worker pool: seed, filter, re-pack, ship.
+) -> tuple[list[tuple[int, int]], int, int]:
+    """Exact search of ``packed`` through ``executor``: seed, prune, re-pack, scan.
 
-    Returns ``(ranked, stats)`` where ``ranked`` is the merged
-    ``(score, index)`` top-k -- identical to an unpruned scan -- and
-    ``stats`` the :func:`~repro.plan.runtime.empty_search_stats`-shaped
-    prune accounting.
+    Returns ``(ranked, sequences_pruned, cells_skipped)`` where ``ranked``
+    is the merged ``(score, index)`` top-k -- identical to an unpruned scan.
+    ``config`` is a :class:`~repro.strategies.search.SearchConfig`.
     """
     query_len = int(len(query))
-    top = TopK(config.top_k)
-    stats = empty_search_stats()
-    if not packed.buckets:
-        return [], stats
     max_lanes = config.resolved_max_lanes
     max_waste = config.resolved_max_waste
+    top = TopK(config.top_k)
 
-    def ship(subset: PackedDatabase) -> None:
-        # Honour the config's shard count, but never deal more shards than
-        # the subset has sequences: the seed prefix can be smaller than the
-        # shard count and empty shards would only waste worker groups.
-        n_shards = min(getattr(config, "n_shards", 1), max(1, subset.n_sequences))
-        if n_shards > 1:
-            shards = shard_database(subset, n_shards, max_lanes, max_waste)
-            graph = plan_search_buckets(
-                subset,
-                query_len,
-                top_k=config.top_k,
-                kernel=config.kernel,
-                n_shards=n_shards,
-                shards=shards,
-            )
-            blob = search_blob(shards)
-        else:
-            graph = plan_search_buckets(
-                subset, query_len, top_k=config.top_k, kernel=config.kernel
-            )
-            blob = search_blob(subset)
-        result = pool.run_search_plan(graph, query, blob, scoring=config.scoring)
+    def scan(subset: PackedDatabase) -> None:
+        shards = None
+        if config.n_shards > 1:
+            shards = shard_database(subset, config.n_shards, max_lanes, max_waste)
+        graph = plan_search_buckets(
+            subset,
+            query_len,
+            top_k=config.top_k,
+            kernel=config.kernel,
+            prefilter=tiers,
+            n_shards=config.n_shards,
+            shards=shards,
+        )
+        result = executor.run(graph, query, search_blob(shards or subset), config.scoring)
         top.merge(result.hits)
 
-    # Pass 1: one cheap bound sweep over every lane.  The ceilings serve
-    # twice -- ordering the seed prefix (highest ceiling first, so the
-    # threshold is as strong as it can be before any pruning decision) and
-    # the prune comparison itself.
-    tiered = TieredFilter(query, config.scoring, tiers, kmer_k)
-    tracer = get_tracer()
-    per_bucket = []
-    with tracer.span("prefilter_bounds", "computation", sequences=packed.n_sequences):
-        for bucket in packed.buckets:
-            combined, per_tier, bound_cells = tiered.ceilings(
-                bucket.codes, bucket.lengths
-            )
-            stats["bound_cells"] += bound_cells
-            per_bucket.append((bucket, combined, per_tier))
-    all_indices = np.concatenate(
-        [b.indices for b, _, _ in per_bucket]
-    )
-    all_ceilings = np.concatenate([c for _, c, _ in per_bucket])
-    order = np.lexsort((all_indices, -all_ceilings))
-    seeds = all_indices[order[: default_seed_count(config.top_k)]]
-    seed_set = {int(i) for i in seeds}
-    seed_db = pack_subset(packed, seeds, max_lanes, max_waste)
-    if seed_db.buckets:
-        ship(seed_db)
+    if not tiers or not packed.buckets:
+        scan(packed)
+        return top.ranked(), 0, 0
 
-    # Pass 2: prune everything whose ceiling is strictly below the seeded
-    # threshold.  The threshold is stale relative to the inline path's
-    # running one, but staleness only keeps more lanes, never fewer.
+    tiered = TieredFilter(query, config.scoring, tiers)
+    tracer = get_tracer()
+    with tracer.span("prefilter_bounds", "computation", sequences=packed.n_sequences):
+        sweeps = [tiered.ceilings(b.codes, b.lengths) for b in packed.buckets]
+    indices = np.concatenate([b.indices for b in packed.buckets])
+    lengths = np.concatenate([b.lengths for b in packed.buckets])
+    ceilings = np.concatenate([combined for combined, _ in sweeps])
+    per_tier = {
+        tier: np.concatenate([bounds[tier] for _, bounds in sweeps])
+        for tier in sweeps[0][1]
+    }
+    # Highest ceiling first, ties toward the smaller index (deterministic).
+    order = np.lexsort((indices, -ceilings))
+    n_seeds = default_seed_count(config.top_k)
+    scan(pack_subset(packed, indices[order[:n_seeds]], max_lanes, SEED_MAX_WASTE))
+
     threshold = top.threshold()
-    survivors: list[int] = []
-    with tracer.span(
-        "prefilter", "computation", sequences=packed.n_sequences - len(seed_set)
-    ):
-        for bucket, combined, per_tier in per_bucket:
-            rest = np.array(
-                [
-                    lane
-                    for lane in range(bucket.lanes)
-                    if int(bucket.indices[lane]) not in seed_set
-                ],
-                dtype=np.int64,
-            )
-            if rest.size == 0:
-                continue
-            drop = combined[rest] < threshold
-            survivors.extend(int(i) for i in bucket.indices[rest[~drop]])
-            dropped = rest[drop]
-            stats["sequences_pruned"] += int(dropped.size)
-            stats["cells_skipped"] += query_len * int(bucket.lengths[dropped].sum())
-            # Attribute each prune to the cheapest tier that proved it.
-            unattributed = dropped
-            for tier in tiered.tiers:
-                if tier not in per_tier or unattributed.size == 0:
-                    continue
+    rest = order[n_seeds:]
+    with tracer.span("prefilter", "computation", sequences=int(rest.size)):
+        drop = ceilings[rest] < threshold
+        dropped, survivors = rest[drop], rest[~drop]
+        cells_skipped = query_len * int(lengths[dropped].sum())
+        # Attribute each prune to the cheapest tier that proved it.
+        tier_pruned: dict[str, int] = {}
+        unattributed = dropped
+        for tier in tiered.tiers:
+            if tier in per_tier and unattributed.size:
                 hit = per_tier[tier][unattributed] < threshold
-                n = int(hit.sum())
-                if n:
-                    stats["tier_pruned"][tier] = (
-                        stats["tier_pruned"].get(tier, 0) + n
-                    )
-                    unattributed = unattributed[~hit]
-        stats["thresholds"].append(float(threshold))
+                tier_pruned[tier] = int(hit.sum())
+                unattributed = unattributed[~hit]
     if is_enabled():
         metrics = get_metrics()
-        metrics.counter("sequences_pruned").inc(stats["sequences_pruned"])
-        metrics.counter("cells_skipped").inc(stats["cells_skipped"])
-        for tier, n in stats["tier_pruned"].items():
+        metrics.counter("sequences_pruned").inc(int(dropped.size))
+        metrics.counter("cells_skipped").inc(cells_skipped)
+        for tier, n in tier_pruned.items():
             metrics.counter(f"prefilter_{tier}_pruned").inc(n)
         if threshold != float("-inf"):
             metrics.gauge("prefilter_threshold").set(float(threshold))
 
-    if survivors:
-        ship(pack_subset(packed, survivors, max_lanes, max_waste))
-    return top.ranked(), stats
+    if survivors.size:
+        scan(pack_subset(packed, indices[survivors], max_lanes, max_waste))
+    return top.ranked(), int(dropped.size), cells_skipped

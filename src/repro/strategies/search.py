@@ -14,10 +14,14 @@ whole database of targets.  :func:`search_db` is that pipeline:
    sequential scan -- no matter how buckets are ordered or which worker
    scans them.
 
-With a :class:`repro.parallel.AlignmentWorkerPool` the packed database is
-published once through a shared-memory arena and buckets are dispatched
-through a *dynamic* work queue: workers pull the next chunk when free, so a
-skewed bucket cannot stall the rest of the pool (see ``pool.search``).
+Every backend runs the same path,
+:func:`repro.strategies.prefilter.pruned_search`: the coordinator prunes with
+admissible score bounds, plans the surviving buckets as a task graph and
+hands it to one executor -- in-process by default, or a
+:class:`repro.parallel.AlignmentWorkerPool`, which publishes the packed
+database once through a shared-memory arena and dispatches buckets through
+a *dynamic* work queue (workers pull the next chunk when free, so a skewed
+bucket cannot stall the rest of the pool).
 
 :func:`search_db_sequential` is the one-at-a-time
 :class:`repro.core.KernelWorkspace` reference the batched path is verified
@@ -36,12 +40,11 @@ from ..core.topk import TopK
 from ..obs import gcups, get_metrics, get_tracer, is_enabled
 from ..obs.ledger import record_run
 from ..obs.trace import Stopwatch
-from ..plan import InlineExecutor, plan_search_buckets, search_blob
-from ..plan.runtime import empty_search_stats
+from ..plan import InlineExecutor, PoolExecutor
 from ..seq.alphabet import encode
-from ..seq.db import PackedDatabase, content_digest, pack_database, shard_database
+from ..seq.db import PackedDatabase, content_digest, pack_database
 from .cache import DEFAULT_CACHE, cache_key
-from .prefilter import pooled_pruned_search, resolve_prefilter
+from .prefilter import pruned_search, resolve_prefilter
 
 __all__ = [
     "SearchConfig",
@@ -77,11 +80,12 @@ class SearchConfig:
     #: sequences where the bounds cost more than they save).  Pruning never
     #: changes rankings -- only which sequences pay for a DP scan.
     prefilter: str = "auto"
-    #: Shard count.  ``1`` is the unsharded legacy layout; ``> 1`` deals the
+    #: Shard count.  ``1`` is the unsharded layout; ``> 1`` deals the
     #: database round-robin into disjoint shards (:func:`repro.seq.db.shard_database`),
-    #: scans each shard's tiles independently, and tournament-merges the
-    #: per-shard top-k heaps -- the ranking stays bitwise identical on every
-    #: backend.  On a pool the shard count may not exceed the worker count.
+    #: keeps one top-k heap per shard, and tournament-merges them -- the
+    #: ranking stays bitwise identical on every backend.  Shards are a
+    #: logical partition: any worker scans any shard's tiles, so the count
+    #: is independent of the pool size.
     n_shards: int = 1
     #: Consult (and populate) the process-wide content-addressed result
     #: cache (:data:`repro.strategies.cache.DEFAULT_CACHE`).  A hit skips
@@ -174,17 +178,24 @@ def search_db(
     database,
     config: SearchConfig | None = None,
     pool=None,
+    executor=None,
 ) -> SearchResult:
     """Best local-alignment score of ``query`` against every database record.
 
     ``database`` is a :class:`repro.seq.PackedDatabase` or any iterable of
     FASTA records / ``(name, codes)`` tuples (packed on the fly).  Pass an
     :class:`repro.parallel.AlignmentWorkerPool` as ``pool`` to fan buckets
-    out over persistent workers; otherwise the scan runs in-process.
+    out over persistent workers, or any :class:`repro.plan.Executor` as
+    ``executor`` (e.g. :class:`repro.plan.SimExecutor`); otherwise the scan
+    runs in-process.
     """
     config = config or SearchConfig()
     if config.n_shards < 1:
         raise ValueError("n_shards must be positive")
+    if pool is not None and executor is not None:
+        raise ValueError("pass a pool or an executor, not both")
+    if executor is None:
+        executor = InlineExecutor() if pool is None else PoolExecutor(pool)
     query = encode(query)
     packed = _as_packed(database, config)
     tiers = resolve_prefilter(config.prefilter, packed.n_sequences)
@@ -210,54 +221,17 @@ def search_db(
         prefilter=",".join(tiers) or "off",
         shards=config.n_shards,
     ):
-        if pool is None:
-            shards = (
-                shard_database(
-                    packed,
-                    config.n_shards,
-                    max_lanes=config.resolved_max_lanes,
-                    max_waste=config.resolved_max_waste,
-                )
-                if config.n_shards > 1
-                else None
-            )
-            graph = plan_search_buckets(
-                packed,
-                len(query),
-                top_k=config.top_k,
-                kernel=config.kernel,
-                prefilter=tiers,
-                n_shards=config.n_shards,
-                shards=shards,
-            )
-            executed = InlineExecutor().run(
-                graph, query, search_blob(shards or packed), config.scoring
-            )
-            ranked = executed.hits
-            stats = executed.extras.get("prefilter", empty_search_stats())
-            n_workers = 1
-        else:
-            if tiers:
-                ranked, stats = pooled_pruned_search(
-                    query, packed, config, pool, tiers
-                )
-            else:
-                ranked = pool.search(
-                    query,
-                    packed,
-                    top_k=config.top_k,
-                    scoring=config.scoring,
-                    kernel=config.kernel,
-                    n_shards=config.n_shards,
-                )
-                stats = empty_search_stats()
-            n_workers = pool.n_workers
+        ranked, pruned, skipped = pruned_search(query, packed, config, executor, tiers)
     if is_enabled():
         metrics = get_metrics()
         metrics.gauge("search_seconds").set(sw.elapsed)
         metrics.gauge("search_gcups").set(gcups(cells, sw.elapsed))
+    n_workers = pool.n_workers if pool is not None else 1
+    backend = executor.BACKEND
+    if backend == "inline":
+        backend = "striped" if config.kernel == "striped" else "batched"
     record_run(
-        "search-pool" if pool is not None else "search-inline",
+        f"search-{executor.BACKEND}",
         {
             "search_seconds": sw.elapsed,
             "search_gcups": gcups(cells, sw.elapsed),
@@ -270,7 +244,7 @@ def search_db(
             "buckets": len(packed.buckets),
             "query_bp": int(len(query)),
             "prefilter": ",".join(tiers) or "off",
-            "sequences_pruned": stats["sequences_pruned"],
+            "sequences_pruned": pruned,
             "n_shards": config.n_shards,
             "cache": config.cache,
         },
@@ -281,12 +255,10 @@ def search_db(
         total_cells=cells,
         wall_seconds=sw.elapsed,
         n_workers=n_workers,
-        backend=("striped" if config.kernel == "striped" else "batched")
-        if pool is None
-        else "pool",
+        backend=backend,
         prefilter=",".join(tiers) or "off",
-        sequences_pruned=stats["sequences_pruned"],
-        cells_skipped=stats["cells_skipped"],
+        sequences_pruned=pruned,
+        cells_skipped=skipped,
         n_shards=config.n_shards,
     )
     if key is not None:

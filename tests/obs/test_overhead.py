@@ -11,7 +11,8 @@ tracer is installed.  This test enforces the budget two ways:
   the full 512x512 alignment time.
 
 Timing comparisons on millisecond workloads are noisy, so the A/B check
-takes best-of-several and retries before failing.
+takes best-of-several, timing the two sides alternately run by run, and
+retries before failing.
 """
 
 from time import perf_counter
@@ -39,6 +40,20 @@ def _best_of(fn, rounds=5):
         fn()
         best = min(best, perf_counter() - t0)
     return best
+
+
+def _best_of_pair(fa, fb, rounds=5):
+    """Best-of-``rounds`` of two functions timed alternately, run by run, so
+    a slow stretch on a shared host lands on both sides instead of one."""
+    best_a = best_b = float("inf")
+    for _ in range(rounds):
+        t0 = perf_counter()
+        fa()
+        best_a = min(best_a, perf_counter() - t0)
+        t0 = perf_counter()
+        fb()
+        best_b = min(best_b, perf_counter() - t0)
+    return best_a, best_b
 
 
 def test_observability_disabled_by_default():
@@ -81,8 +96,7 @@ def test_disabled_hook_overhead_under_2pct_on_512_alignment(pair_512):
     # A/B bound: the instrumented batch API vs its hook-free twin.  Retry a
     # few times -- ~1.5 ms timings jitter more than the 2% we are asserting.
     for attempt in range(4):
-        a = _best_of(instrumented)
-        b = _best_of(uninstrumented)
+        a, b = _best_of_pair(instrumented, uninstrumented)
         if a <= b * 1.02:
             break
     else:

@@ -27,7 +27,7 @@ from repro.plan import (
 )
 from repro.seq import encode, genome_pair
 from repro.seq.db import pack_database, synthetic_database
-from repro.strategies import SearchConfig, search_db_sequential
+from repro.strategies import SearchConfig, search_db, search_db_sequential
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestSearchParity:
         q = encode(query)
         graph = plan_search_buckets(packed, len(q), top_k=5)
         inline = InlineExecutor().run(graph, q, search_blob(packed)).hits
-        pooled = pool.search(query, packed, top_k=5)
+        pooled = search_db(query, packed, SearchConfig(top_k=5), pool=pool).scores()
         sequential = search_db_sequential(query, packed, SearchConfig(top_k=5))
         reference = [(h.score, h.index) for h in sequential.hits]
         assert reference
@@ -149,13 +149,23 @@ class TestExecutorGuards:
         with pytest.raises(ValueError, match="scale=1"):
             PoolExecutor(pool=None).run(graph, s, t, scale=4)
 
-    def test_pool_executor_rejects_search_graphs(self):
+    def test_pool_executor_forwards_search_graphs(self):
         packed = pack_database(
             synthetic_database(n=4, min_length=40, max_length=60, rng=3)
         )
         graph = plan_search_buckets(packed, 8)
-        with pytest.raises(ValueError, match="run_search_plan"):
-            PoolExecutor(pool=None).run(graph, encode("ACGTACGT"), search_blob(packed))
+        q, blob = encode("ACGTACGT"), search_blob(packed)
+        forwarded = []
+
+        class Pool:
+            def run_search_plan(self, graph, query, blob, *, scoring):
+                forwarded.append(graph)
+                return InlineExecutor().run(graph, query, blob, scoring)
+
+        result = PoolExecutor(Pool()).run(graph, q, blob)
+        assert forwarded == [graph]
+        assert result.backend == "pool"
+        assert result.hits == InlineExecutor().run(graph, q, blob).hits
 
     def test_pool_executor_needs_a_spec(self, pair):
         s, t = pair

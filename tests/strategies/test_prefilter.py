@@ -11,6 +11,8 @@ at the threshold, and composition-skewed decoys -- the cases where an
 off-by-one in the strict ``<`` prune or a one-short ceiling would show.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,7 @@ from repro.core.bounds import (
     TieredFilter,
 )
 from repro.core.scoring import TRANSITION_TRANSVERSION, MatrixScoring, Scoring
-from repro.plan import (
-    InlineExecutor,
-    SimExecutor,
-    plan_search_buckets,
-    search_blob,
-)
+from repro.plan import SimExecutor
 from repro.seq import biased_dna, mutate, pack_database, random_dna
 from repro.seq.db import pack_subset
 from repro.strategies import (
@@ -114,7 +111,7 @@ class TestAdmissibility:
         packed = pack_database(adversarial_db(rng, query), max_lanes=8)
         tiered = TieredFilter(query, scoring)
         for bucket in packed.buckets:
-            combined, _, _ = tiered.ceilings(bucket.codes, bucket.lengths)
+            combined, _ = tiered.ceilings(bucket.codes, bucket.lengths)
             for lane in range(bucket.lanes):
                 width = int(bucket.lengths[lane])
                 true = sequential_best_score(query, bucket.codes[lane, :width], scoring)
@@ -193,9 +190,10 @@ class TestExactness:
         )
         expected = search_db_sequential(query, db, config).scores()
         with AlignmentWorkerPool(n_workers=2) as pool:
-            result = search_db(query, db, config, pool=pool)
-        assert result.scores() == expected
-        assert result.backend == "pool"
+            for mode in ("off", "composition", "kmer"):
+                result = search_db(query, db, replace(config, prefilter=mode), pool=pool)
+                assert result.scores() == expected, mode
+                assert result.backend == "pool"
 
     @pytest.mark.parametrize("kernel", ["classic", "striped"])
     def test_sim_matches_sequential(self, kernel):
@@ -203,18 +201,14 @@ class TestExactness:
         query = random_dna(90, rng)
         db = adversarial_db(rng, query)
         scoring = Scoring(match=1, mismatch=-3, gap=-4)
-        config = SearchConfig(top_k=5, scoring=scoring, kernel=kernel)
         packed = pack_database(db, max_lanes=8)
-        graph = plan_search_buckets(
-            packed, len(query), top_k=5, kernel=kernel,
-            prefilter=("length", "composition", "kmer"),
-            seed_count=6,  # smaller than the database so filter tiles exist
-        )
-        executed = SimExecutor().run(graph, query, search_blob(packed), scoring)
-        expected = search_db_sequential(query, packed, config).scores()
-        assert [(s, i) for s, i in executed.hits] == expected
-        assert executed.extras["sim"]["total_time"] > 0
-        assert "filter" in executed.extras["sim"]["stage_seconds"]
+        base = SearchConfig(top_k=5, max_lanes=8, scoring=scoring, kernel=kernel)
+        expected = search_db_sequential(query, packed, base).scores()
+        for mode in ("off", "composition", "kmer"):
+            config = replace(base, prefilter=mode)
+            result = search_db(query, packed, config, executor=SimExecutor())
+            assert result.scores() == expected, mode
+            assert result.backend == "sim"
 
     def test_inline_prunes_and_accounts(self):
         """On a prunable workload the filter actually fires and the result
@@ -241,24 +235,6 @@ class TestExactness:
         assert result.prefilter == "off"
         assert result.sequences_pruned == 0
         assert result.cells_skipped == 0
-
-
-class TestPoolRejectsStagedGraphs:
-    def test_run_search_plan_refuses_prefilter_graphs(self):
-        from repro.parallel.pool import AlignmentWorkerPool
-
-        rng = np.random.default_rng(5)
-        packed = pack_database(
-            [("a", random_dna(30, rng)), ("b", random_dna(40, rng))], max_lanes=4
-        )
-        graph = plan_search_buckets(
-            packed, 20, top_k=2, prefilter=("length", "composition")
-        )
-        with AlignmentWorkerPool(n_workers=1) as pool:
-            with pytest.raises(ValueError, match="pooled_pruned_search"):
-                pool.run_search_plan(
-                    graph, random_dna(20, rng), search_blob(packed)
-                )
 
 
 class TestPackSubset:

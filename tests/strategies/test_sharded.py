@@ -3,7 +3,8 @@
 The shard dimension's contract is absolute: for every backend (inline,
 pool, simulated cluster), every kernel, every prefilter mode and every
 shard count, the ranking is bitwise identical to
-:func:`~repro.strategies.search.search_db_sequential`.  The cache's
+:func:`~repro.strategies.search.search_db_sequential` (``TestParityMatrix``
+runs the full cross product).  The cache's
 contract is the complement: a hit returns an equal result without running
 any of that machinery (zero tile spans).
 """
@@ -15,9 +16,11 @@ import pytest
 
 from repro import obs
 from repro.plan import SimExecutor, plan_search_buckets, search_blob
-from repro.seq import pack_database, random_dna, synthetic_database
+from repro.core.scoring import Scoring
+from repro.seq import mutate, pack_database, random_dna, synthetic_database
 from repro.seq.db import content_digest, shard_database
 from repro.strategies import (
+    AUTO_MIN_SEQUENCES,
     DEFAULT_CACHE,
     SearchCache,
     SearchConfig,
@@ -147,18 +150,77 @@ class TestPoolParity:
                     assert result.scores() == reference, (n_shards, prefilter)
                     assert result.n_workers == 4
 
-    def test_oversharding_the_pool_is_rejected(self, workload):
+    def test_four_shards_on_two_workers_match_sequential(self, workload, reference):
         from repro.parallel import AlignmentWorkerPool
 
         query, packed = workload
         with AlignmentWorkerPool(n_workers=2) as pool:
-            with pytest.raises(ValueError, match="shard"):
-                search_db(
-                    query,
-                    packed,
-                    SearchConfig(top_k=8, n_shards=4, prefilter="off"),
-                    pool=pool,
-                )
+            result = search_db(
+                query,
+                packed,
+                SearchConfig(top_k=8, n_shards=4, prefilter="off"),
+                pool=pool,
+            )
+        assert result.scores() == reference
+        assert result.n_shards == 4 and result.n_workers == 2
+
+
+@pytest.fixture(scope="module")
+def matrix_workload():
+    """A prunable database large enough that ``auto`` engages its tiers."""
+    rng = np.random.default_rng(91)
+    scoring = Scoring(match=1, mismatch=-3, gap=-4)
+    query = random_dna(200, rng)
+    db = synthetic_database(
+        n=AUTO_MIN_SEQUENCES, min_length=30, max_length=90, rng=rng
+    )
+    # Homologs outscore any background ceiling, so every tier prunes.
+    db += [
+        (f"hom{i}", mutate(query[i * 8 : i * 8 + 120], 0.03, rng)) for i in range(10)
+    ]
+    packed = pack_database(db)
+    reference = search_db_sequential(
+        query, packed, SearchConfig(top_k=8, scoring=scoring)
+    ).scores()
+    return query, packed, scoring, reference
+
+
+@pytest.fixture(scope="module")
+def matrix_pool():
+    from repro.parallel import AlignmentWorkerPool
+
+    with AlignmentWorkerPool(n_workers=2) as pool:
+        yield pool
+
+
+class TestParityMatrix:
+    """Every backend x prefilter x shard count x kernel ranks bitwise-equal
+    to the sequential reference, through the one coordinator-side prune."""
+
+    @pytest.mark.parametrize("kernel", ["classic", "striped"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    @pytest.mark.parametrize("prefilter", ["off", "composition", "kmer", "auto"])
+    @pytest.mark.parametrize("backend", ["inline", "pool", "sim"])
+    def test_matches_sequential(
+        self, matrix_workload, request, backend, prefilter, n_shards, kernel
+    ):
+        query, packed, scoring, reference = matrix_workload
+        config = SearchConfig(
+            top_k=8, scoring=scoring, kernel=kernel, prefilter=prefilter,
+            n_shards=n_shards,
+        )
+        if backend == "pool":
+            result = search_db(
+                query, packed, config, pool=request.getfixturevalue("matrix_pool")
+            )
+        elif backend == "sim":
+            result = search_db(query, packed, config, executor=SimExecutor())
+        else:
+            result = search_db(query, packed, config)
+        assert result.scores() == reference
+        assert result.n_shards == n_shards
+        if prefilter != "off":
+            assert result.sequences_pruned > 0, "the matrix must exercise pruning"
 
 
 class TestResultCache:

@@ -127,8 +127,33 @@ class TestBadInput:
                 ["align", "--demo", "--backend", "mp", "--mp-workers", "0"],
                 "argument --mp-workers: must be >= 1, got 0",
             ),
+            (
+                ["search", "q.fa", "db.fa", "--shards", "0"],
+                "argument --shards: must be >= 1, got 0",
+            ),
+            (
+                ["search", "q.fa", "db.fa", "--batch-lanes", "0"],
+                "argument --batch-lanes: must be >= 1, got 0",
+            ),
+            (
+                ["search", "q.fa", "db.fa", "--max-waste", "1.5"],
+                "argument --max-waste: must be in [0, 1), got 1.5",
+            ),
+            (
+                ["search", "q.fa", "db.fa", "--repeat", "-2"],
+                "argument --repeat: must be >= 1, got -2",
+            ),
         ],
-        ids=["align-top", "search-top", "search-workers", "align-mp-workers"],
+        ids=[
+            "align-top",
+            "search-top",
+            "search-workers",
+            "align-mp-workers",
+            "search-shards",
+            "search-batch-lanes",
+            "search-max-waste",
+            "search-repeat",
+        ],
     )
     def test_out_of_range_count_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -137,6 +162,12 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].endswith(message)
+
+    def test_more_shards_than_workers_runs(self, files, capsys):
+        good, _, _ = files
+        argv = ["search", str(good), str(good), "--workers", "2", "--shards", "4"]
+        assert main(argv) == 0
+        assert "2 worker(s), 4 shard(s)" in capsys.readouterr().out
 
     def test_zero_top_is_accepted(self):
         assert build_parser().parse_args(["align", "--demo", "--top", "0"]).top == 0
