@@ -177,7 +177,7 @@ def _bench_db_search(quick: bool, rounds: int) -> dict:
     """Classic batched search vs the one-at-a-time sequential reference."""
     query, db, n_db = _search_workload(quick)
     subset = db[: max(20, n_db // 10)]
-    config = SearchConfig(top_k=10)
+    config = SearchConfig(top_k=10, kernel="classic")
 
     sequential = search_db_sequential(query, subset, config)
     if search_db(query, subset, config).scores() != sequential.scores():
@@ -254,6 +254,39 @@ def _bench_db_search_striped(quick: bool, rounds: int, classic_gcups: float) -> 
     }
 
 
+def _bench_db_search_auto(quick: bool, rounds: int) -> dict:
+    """The default cost-chosen tiles against the forced classic scan.
+
+    Same workload and default prefilter as the classic entry; the two
+    rankings are asserted equal before timing, and both configurations are
+    timed in the same run, so ``auto_speedup_vs_classic`` is a same-session
+    before/after ratio (classic on every tile was the default before the
+    host cost model chose kernels per tile).
+    """
+    query, db, n_db = _search_workload(quick)
+    packed = pack_database(db)
+    auto = SearchConfig(top_k=10)
+    classic = SearchConfig(top_k=10, kernel="classic")
+    result = search_db(query, packed, auto)
+    if result.scores() != search_db(query, packed, classic).scores():
+        raise AssertionError("cost-chosen tiles changed the ranking")
+    auto_s = _best_of(lambda: search_db(query, packed, auto), rounds)
+    classic_s = _best_of(lambda: search_db(query, packed, classic), rounds)
+    return {
+        "kernel": "auto",
+        "dtype": "auto",
+        "lane_mode": "auto",
+        "n_sequences": n_db,
+        "total_cells": result.total_cells,
+        "prefilter": result.prefilter,
+        "auto_seconds": auto_s,
+        "classic_seconds": classic_s,
+        "auto_gcups": gcups(result.total_cells, auto_s),
+        "classic_gcups": gcups(result.total_cells, classic_s),
+        "auto_speedup_vs_classic": classic_s / auto_s,
+    }
+
+
 def _pruned_search_workload(quick: bool):
     """A database the bounds can actually prune.
 
@@ -300,8 +333,8 @@ def _bench_db_search_pruned(quick: bool, rounds: int) -> dict:
     reach the top-10.
     """
     query, db, scoring = _pruned_search_workload(quick)
-    off = SearchConfig(top_k=10, scoring=scoring, prefilter="off")
-    on = SearchConfig(top_k=10, scoring=scoring, prefilter="kmer")
+    off = SearchConfig(top_k=10, scoring=scoring, prefilter="off", kernel="classic")
+    on = SearchConfig(top_k=10, scoring=scoring, prefilter="kmer", kernel="classic")
     packed = pack_database(db)
 
     sequential = search_db_sequential(query, packed, off)
@@ -346,8 +379,8 @@ def _bench_db_search_sharded(quick: bool, rounds: int) -> dict:
     db = synthetic_database(n=n_db, min_length=150, max_length=600, rng=rng)
     query = random_dna(1500, rng)
     packed = pack_database(db)
-    flat = SearchConfig(top_k=10, prefilter="off")
-    sharded = SearchConfig(top_k=10, prefilter="off", n_shards=4)
+    flat = SearchConfig(top_k=10, prefilter="off", kernel="classic")
+    sharded = SearchConfig(top_k=10, prefilter="off", n_shards=4, kernel="classic")
 
     reference = search_db(query, packed, flat)
     result = search_db(query, packed, sharded)
@@ -357,7 +390,7 @@ def _bench_db_search_sharded(quick: bool, rounds: int) -> dict:
     flat_elapsed = _best_of(lambda: search_db(query, packed, flat), rounds)
     sharded_elapsed = _best_of(lambda: search_db(query, packed, sharded), rounds)
 
-    cached = SearchConfig(top_k=10, prefilter="off", n_shards=4, cache=True)
+    cached = SearchConfig(top_k=10, prefilter="off", n_shards=4, cache=True, kernel="classic")
     DEFAULT_CACHE.clear()
     search_db(query, packed, cached)  # the miss that populates the entry
     hit_elapsed = _best_of(
@@ -444,6 +477,8 @@ def run_kernel_bench(quick: bool = False, progress=None) -> dict:
     results["db_search_striped_1000seq_2kbp_query"] = _bench_db_search_striped(
         quick, rounds, results["db_search_1000seq_2kbp_query"]["batched_gcups"]
     )
+    note("db_search: cost-chosen tiles vs classic ...")
+    results["db_search_auto_1000seq_2kbp_query"] = _bench_db_search_auto(quick, rounds)
     note("db_search: score-bound pruning ...")
     results["db_search_pruned_5000seq_1500bp_query"] = _bench_db_search_pruned(
         quick, rounds

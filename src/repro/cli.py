@@ -603,21 +603,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-lanes",
         type=_at_least(1),
         default=None,
-        help="max sequences per SIMD batch (default: 512 classic, 4096 striped)",
+        help="max sequences per storage bucket, which the bound sweep walks "
+        "(default: 512, or 4096 with --kernel striped); scan tiles are cut "
+        "by the host cost model",
     )
     p_search.add_argument(
         "--max-waste",
         type=_fraction,
         default=None,
-        help="max padded fraction of a batch before a new length bucket is cut "
-        "(default: 0.15 classic, 0.5 striped)",
+        help="max padded fraction of a storage bucket before a new length "
+        "bucket is cut (default: 0.15, or 0.5 with --kernel striped)",
     )
     p_search.add_argument(
         "--kernel",
-        default="classic",
-        choices=("classic", "striped"),
-        help="bucket scan kernel: classic dense batch, or the striped "
-        "query-profile kernel with narrow lanes and overflow recovery",
+        default="auto",
+        choices=("auto", "classic", "striped"),
+        help="bucket scan kernel: auto = the host cost model picks per tile "
+        "(classic for narrow tiles, striped for wide ones); classic or "
+        "striped force that scan on every tile",
     )
     p_search.add_argument(
         "--prefilter",

@@ -14,12 +14,11 @@ decisions carry the throughput:
 
 * **Lanes are the contiguous axis.**  The DP state is ``(n + 1, k)`` --
   target position outer, lane inner -- so every vector op streams over
-  contiguous same-position lanes.  Crucially, the horizontal-gap chain
-  (``H[j] = max(C[j], H[j-1] + gap)``) runs as one vectorized ``maximum``
-  per *column* over all ``k`` lanes, instead of ``numpy``'s
-  ``maximum.accumulate`` whose inner loop is serial per element in either
-  layout.  For narrow batches the accumulate is cheaper, so the workspace
-  picks per batch (:data:`CHAIN_LOOP_MIN_LANES`).
+  contiguous same-position lanes, and the ramped horizontal-gap chain
+  (``H[j] = max(C[j], H[j-1] + gap)``) is one ``maximum.accumulate`` down
+  the position axis.  The host cost model hands this kernel only narrow
+  tiles (wide ones go to :mod:`repro.core.striped`), where one accumulate
+  per query row beats a per-column loop.
 * **Narrow lanes when scores provably fit.**  With short targets the paper's
   unit scores are bounded far below ``2**15``, so the whole row state drops
   to int16 -- double the SIMD width and half the memory traffic of
@@ -70,14 +69,6 @@ PAD_SCORE = SCORE_DTYPE(-(2**30))
 #: (down to ``PAD_SCORE_16 - g*(n+1) > -2**15``) stays in range.
 PAD_SCORE_16 = np.int16(-(2**13))
 
-#: Batch width at which the per-column vectorized chain loop overtakes
-#: ``np.maximum.accumulate`` (whose inner loop is serial per element).
-#: Measured on a 2-core x86 host (numpy 2.4, int16 state, widths 150, 600
-#: and 1500): the loop is 1.4-1.9x slower at 128 lanes, 1.1-1.25x slower
-#: at 192, level at 256 and 1.2-1.45x faster from 320 up.
-CHAIN_LOOP_MIN_LANES = 256
-
-
 def pack_codes(targets, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pack encoded target sequences into a padded ``(k, width)`` matrix.
 
@@ -123,7 +114,6 @@ class MultiSequenceWorkspace:
         "_acc",
         "_zero",
         "_row",
-        "_row_views",
         "_rowmax",
         "_profile",
     )
@@ -175,9 +165,6 @@ class MultiSequenceWorkspace:
         # loop for integer maximum, an array operand does not.
         self._zero = np.zeros((n + 1, k), dtype=np.int64 if self._wide else self.dtype)
         self._row = np.zeros((n + 1, k), dtype=self.dtype)
-        # Pre-sliced per-column views of the owned row buffer: the chain loop
-        # costs one vectorized maximum per column, no per-iteration slicing.
-        self._row_views = [self._row[j] for j in range(n + 1)] if k >= CHAIN_LOOP_MIN_LANES else None
         self._rowmax = np.empty(k, dtype=self.dtype)
         self._profile: dict[int, np.ndarray] = {}
         for code in eager_codes:
@@ -204,23 +191,6 @@ class MultiSequenceWorkspace:
         """A fresh all-zero ``(n+1, k)`` row block (local row 0)."""
         return np.zeros((self.width + 1, self.lanes), dtype=self.dtype)
 
-    def _chain(self, x: np.ndarray) -> None:
-        """In-place prefix maximum along axis 0 (the ramped gap chain)."""
-        if x is self._row and self._row_views is not None:
-            rows = self._row_views
-            prev = rows[0]
-            for cur in rows[1:]:
-                np.maximum(cur, prev, out=cur)
-                prev = cur
-        elif x.shape[1] >= CHAIN_LOOP_MIN_LANES:
-            prev = x[0]
-            for j in range(1, x.shape[0]):
-                cur = x[j]
-                np.maximum(cur, prev, out=cur)
-                prev = cur
-        else:
-            np.maximum.accumulate(x, axis=0, out=x)
-
     def sw_row(
         self, prev: np.ndarray, s_char: int, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -244,13 +214,13 @@ class MultiSequenceWorkspace:
         if self._wide:
             acc = self._acc
             np.add(cand, self._ramp, out=acc)
-            self._chain(acc)
+            np.maximum.accumulate(acc, axis=0, out=acc)
             np.subtract(acc, self._ramp, out=acc)
             np.maximum(acc, self._zero, out=acc)
             out[:] = acc  # exact downcast: true row values fit the lane dtype
         else:
             np.add(cand, self._ramp, out=out)
-            self._chain(out)
+            np.maximum.accumulate(out, axis=0, out=out)
             np.subtract(out, self._ramp, out=out)
             np.maximum(out, self._zero, out=out)
         return out

@@ -46,10 +46,11 @@ chain (same identity as :mod:`repro.core.multi_engine` --
 ``max_{i<=j}(max(C[i],0)+g*i) = max(max_{i<=j}(C[i]+g*i), g*j)``), and every
 narrow-lane result is either provably unwrapped or flagged and recomputed.
 
-Striped query profiles are cached module-wide (LRU, keyed by target-batch
-digest, scoring, lane dtype and segment length) so repeated searches against
-the same packed database -- the pool serving pattern -- pay the profile
-build once.  Hit/miss counters are exported through :mod:`repro.obs`.
+Striped query profiles are cached module-wide (LRU under a byte budget,
+keyed by target-batch digest, scoring, lane dtype and segment length) so
+repeated searches against the same packed database -- the pool serving
+pattern -- pay the profile build once when it fits.  Hit/miss counters are
+exported through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .scoring import DEFAULT_SCORING, SCORE_DTYPE, Scoring
 __all__ = [
     "LANE_MODES",
     "LaneLimits",
+    "PROFILE_CACHE_BYTES",
     "StripedMultiWorkspace",
     "StripedProfile",
     "clear_profile_cache",
@@ -93,8 +95,15 @@ _LADDERS = {
 #: cost dominates any further vector-width gain.
 MAX_SEG = 64
 
-#: Entries kept in the module-wide striped-profile LRU cache.
-PROFILE_CACHE_CAPACITY = 16
+#: Bytes of striped profiles the module-wide LRU cache keeps; the least
+#: recently used profiles are evicted past it, and a profile larger than
+#: the whole budget is not kept at all.  256 KiB holds the profiles of
+#: narrow tiles (a 32-lane x 600 bp tile's is 96 KiB) but none of the wide
+#: tiles the search tiler cuts, whose profiles would each add their size to
+#: every pool worker's resident set: on the search-scan perfbench inputs a
+#: 1 MiB budget raised the peak RSS of coordinator plus two workers by
+#: 1.8 MB over no cache at all, 256 KiB by none.
+PROFILE_CACHE_BYTES = 1 << 18
 
 _PROFILE_CACHE: "OrderedDict[tuple, StripedProfile]" = OrderedDict()
 _PROFILE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
@@ -195,11 +204,14 @@ class StripedProfile:
     dtype -- plane ``r`` holds the substitution scores of the code against
     target position ``r`` of every segment of every lane -- stored as a
     tuple of per-plane views so the row kernel indexes no arrays in its hot
-    loop.  Padded positions hold :attr:`LaneLimits.pad`.  DNA codes are
-    profiled eagerly, anything else lazily (protein batches work unchanged).
+    loop.  A block is one lookup of the striped codes through a 256-entry
+    table of the code's scores against the codes the batch holds, with
+    :attr:`LaneLimits.pad` at :data:`PAD_CODE`, so building it allocates
+    nothing wider than the lane dtype.  DNA codes are profiled eagerly,
+    anything else lazily (protein batches work unchanged).
     """
 
-    __slots__ = ("scoring", "limits", "seg", "p", "k", "n", "npad", "_safe", "_invalid", "_blocks")
+    __slots__ = ("scoring", "limits", "seg", "p", "k", "n", "npad", "_codes", "_present", "_blocks")
 
     def __init__(self, codes: np.ndarray, scoring: Scoring, limits: LaneLimits) -> None:
         k, n = codes.shape
@@ -211,24 +223,35 @@ class StripedProfile:
         self.n = n
         self.p = -(-n // seg)
         self.npad = seg * self.p
-        ct = np.full((self.npad, k), PAD_CODE, dtype=np.uint8)
-        ct[:n] = codes.T
-        striped = np.ascontiguousarray(ct.reshape(self.p, seg, k).transpose(1, 0, 2))
-        self._invalid = striped == PAD_CODE
-        # Scorings may index 4x4 matrices with the codes, so padded cells are
-        # remapped to code 0 for the lookup and then overwritten.
-        self._safe = np.where(self._invalid, np.uint8(0), striped)
+        # striped[r, c, lane] = codes[lane, c*seg + r], written segment by
+        # segment through strided views (no transposed temporary).
+        striped = np.full((seg, self.p, k), PAD_CODE, dtype=np.uint8)
+        full = n // seg
+        striped[:, :full, :] = codes[:, : full * seg].reshape(k, full, seg).transpose(2, 1, 0)
+        if full < self.p:
+            striped[: n - full * seg, full, :] = codes[:, full * seg :].T
+        self._codes = striped
+        # Only the codes present are looked up, so scorings that index 4x4
+        # matrices with the codes never see PAD_CODE.
+        present = np.flatnonzero(np.bincount(codes.ravel(), minlength=256))
+        self._present = present[present != PAD_CODE].astype(np.uint8)
         self._blocks: dict[int, tuple] = {}
         for code in range(4):
             self.block(code)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the profile holds (what the cache budget counts)."""
+        blocks = sum(planes[0].nbytes * self.seg for planes in self._blocks.values())
+        return self._codes.nbytes + blocks
 
     def block(self, code: int) -> tuple:
         """Per-plane ``(p, k)`` views of the striped profile of ``code``."""
         planes = self._blocks.get(code)
         if planes is None:
-            raw = self.scoring.substitution_row(code, self._safe).astype(self.limits.dtype)
-            raw[self._invalid] = self.limits.pad
-            block = np.ascontiguousarray(raw)
+            lut = np.full(256, self.limits.pad, dtype=self.limits.dtype)
+            lut[self._present] = self.scoring.substitution_row(code, self._present)
+            block = lut[self._codes]
             planes = tuple(block[r] for r in range(self.seg))
             self._blocks[code] = planes
         return planes
@@ -260,8 +283,10 @@ def striped_profile(codes: np.ndarray, scoring: Scoring, limits: LaneLimits) -> 
         get_metrics().counter("striped_profile_misses").inc()
     prof = StripedProfile(codes, scoring, limits)
     _PROFILE_CACHE[key] = prof
-    while len(_PROFILE_CACHE) > PROFILE_CACHE_CAPACITY:
-        _PROFILE_CACHE.popitem(last=False)
+    held = sum(p.nbytes for p in _PROFILE_CACHE.values())
+    while held > PROFILE_CACHE_BYTES:
+        _, evicted = _PROFILE_CACHE.popitem(last=False)
+        held -= evicted.nbytes
         _PROFILE_STATS["evictions"] += 1
     return prof
 

@@ -252,7 +252,9 @@ class Attribution:
     shards: list[ShardRow] = field(default_factory=list)
     stalls: list[Stall] = field(default_factory=list)
     #: Host cost model vs the measured tiles, per tile kind (see
-    #: :func:`repro.plan.hostcost.prediction_report`); empty without a graph.
+    #: :func:`repro.plan.hostcost.prediction_report`); search tiles are
+    #: keyed by the kernel that scanned them.  Empty for a pair plan whose
+    #: graph cannot be rebuilt.
     host_cost: dict = field(default_factory=dict)
 
     @property
@@ -431,6 +433,10 @@ def attribute(
     else:
         # No edges (search): the chain is the heaviest single tile.
         achieved = max(durations.values(), default=0.0)
+        if kind == "search":
+            from ..plan.hostcost import prediction_report, search_samples
+
+            host_cost = prediction_report(search_samples(tiles))
 
     rate = safe_rate(cells_traced, busy)  # cells/second at measured throughput
     theoretical = cp_cells / rate if rate > 0.0 else 0.0

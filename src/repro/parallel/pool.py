@@ -295,7 +295,6 @@ def _job_search(role: int, job: dict, arenas: dict, work) -> list:
         blob,
         job["scoring"],
         job["top_k"],
-        kernel=job["kernel"],
         n_shards=job["n_shards"],
         shard_bases=job["shard_bases"],
     )
@@ -324,8 +323,6 @@ def _job_search(role: int, job: dict, arenas: dict, work) -> list:
                 "computation",
                 t0,
                 spent,
-                lanes=tile.payload[2],
-                width=tile.payload[1],
                 **runtime.tile_args(tile),
             )
     if tracing:
@@ -707,7 +704,6 @@ class AlignmentWorkerPool:
                         "n_shards": graph.n_shards,
                         "shard_bases": graph.params["shard_bases"],
                         "top_k": graph.params["top_k"],
-                        "kernel": graph.params.get("kernel", "classic"),
                         "scoring": scoring,
                     },
                     fail_fast=False,

@@ -44,6 +44,14 @@ class Executor:
 
     BACKEND = "abstract"
 
+    @property
+    def n_workers(self) -> int:
+        """Processes that scan tiles concurrently: the search tiler
+        (:func:`repro.plan.hostcost.search_cuts`) balances its tiles over
+        this many workers.  1 in-process; the simulator keeps 1 too, since
+        a simulated search runs each shard's tiles on one node."""
+        return 1
+
     def run(
         self,
         graph: TaskGraph,
@@ -117,6 +125,10 @@ class PoolExecutor(Executor):
     def __init__(self, pool, timeout: float | None = None) -> None:
         self.pool = pool
         self.timeout = timeout
+
+    @property
+    def n_workers(self) -> int:
+        return self.pool.n_workers
 
     def _execute(self, graph, s, t, scoring, scale) -> ExecutionResult:
         if scale != 1:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hostcost import host_col_bounds
+from .hostcost import SEARCH_KERNELS, host_col_bounds, tile_kernel
 from .ir import DYNAMIC, TaskGraph, Tile
 from .partition import (
     Tiling,
@@ -62,9 +62,11 @@ def _spec(kind: str, **params: object) -> PlanSpec:
     return PlanSpec(kind, tuple(sorted(params.items())))
 
 
-#: Bucket-scan kernels a search graph can select (see
+#: Search kernel modes: "auto" lets the host cost model pick each tile's
+#: kernel (:func:`repro.plan.hostcost.tile_kernel`); "classic" and
+#: "striped" force one bucket scan on every tile (see
 #: :mod:`repro.core.striped` for the striped one).
-KERNELS = ("classic", "striped")
+KERNELS = ("auto",) + SEARCH_KERNELS
 
 
 def _check_kernel(kernel: str) -> str:
@@ -357,18 +359,20 @@ def plan_preprocess(
     return graph.validate()
 
 
-def _bucket_locators(packed) -> tuple[list[tuple], int]:
-    """Per-bucket ``(offset, width, lanes, lengths, indices)`` + blob size."""
+def _bucket_locators(packed, query_len: int, kernel: str) -> tuple[list[tuple], int]:
+    """Per-bucket ``(offset, width, lanes, lengths, indices, kernel)`` + blob size."""
     locators = []
     offset = 0
     for bucket in packed.buckets:
+        width, lanes = int(bucket.width), int(bucket.lanes)
         locators.append(
             (
                 offset,
-                int(bucket.width),
-                int(bucket.lanes),
+                width,
+                lanes,
                 tuple(int(x) for x in bucket.lengths),
                 tuple(int(x) for x in bucket.indices),
+                tile_kernel(lanes, width, query_len, kernel),
             )
         )
         offset += int(bucket.codes.size)
@@ -380,22 +384,27 @@ def plan_search_buckets(
     query_len: int,
     *,
     top_k: int = 10,
-    kernel: str = "classic",
+    kernel: str = "auto",
     prefilter: tuple[str, ...] = (),
     n_shards: int = 1,
     shards=None,
 ) -> TaskGraph:
     """Database search: one independent tile per length bucket.
 
-    Tiles carry ``(offset, width, lanes, lengths, indices)`` locating one
-    bucket inside the flat blob built by :func:`search_blob`; there are no
-    edges, so any dispatch order (greedy work queue included) is valid.
+    Tiles carry ``(offset, width, lanes, lengths, indices, kernel)``
+    locating one bucket inside the flat blob built by :func:`search_blob`
+    and naming the bucket scan that runs it; there are no edges, so any
+    dispatch order (greedy work queue included) is valid.  With
+    ``kernel="auto"`` each tile gets the kernel the host cost model
+    predicts faster for its shape (:func:`repro.plan.hostcost.tile_kernel`);
+    "classic" or "striped" force that scan on every tile.
+    ``params["kernel"]`` records the mode, as a label only.
 
-    ``prefilter`` is a label, not a stage: pruning happens before planning
-    (:func:`repro.strategies.prefilter.pruned_search` plans the seed prefix
-    and the re-packed survivors as two such graphs), so the tiers only ride
-    ``params["prefilter"]`` and the plan span for attribution and never
-    change the tiles.
+    The buckets are the tiles: :func:`repro.strategies.prefilter.pruned_search`
+    cuts them with :func:`repro.plan.hostcost.search_cuts` before planning.
+    ``prefilter`` is a label, not a stage: pruning happens before planning,
+    so the tiers only ride ``params["prefilter"]`` and the plan span for
+    attribution and never change the tiles.
 
     With ``n_shards > 1`` the database is dealt round-robin into shards
     (:func:`repro.seq.db.shard_database`, or pass pre-split ``shards``) and
@@ -413,6 +422,7 @@ def plan_search_buckets(
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
+    _check_kernel(kernel)
     if shards is not None:
         if len(shards) != n_shards:
             raise ValueError(f"got {len(shards)} shards for n_shards={n_shards}")
@@ -427,7 +437,7 @@ def plan_search_buckets(
     shard_bases: list[int] = []
     base = 0
     for s, db in enumerate(shard_dbs):
-        locators, size = _bucket_locators(db)
+        locators, size = _bucket_locators(db, query_len, kernel)
         shard_bases.append(base)
         base += size
         for loc in locators:
@@ -435,7 +445,7 @@ def plan_search_buckets(
     params = {
         "top_k": top_k,
         "query_len": query_len,
-        "kernel": _check_kernel(kernel),
+        "kernel": kernel,
         "n_shards": n_shards,
         "shard_bases": tuple(shard_bases),
     }

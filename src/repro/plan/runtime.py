@@ -84,9 +84,10 @@ class PlanRuntime:
     ENGINE_COUNTS_CELLS = True
 
     #: Attribution labels (see :meth:`tile_args`).  Graph-bound runtimes
-    #: set ``kind_name`` from the graph; the search runtime sets all three.
-    #: ``dtype_name`` is the *scheduled* DP state dtype ("auto" where the
-    #: kernel picks lane dtypes per bucket).
+    #: set ``kind_name`` from the graph; the search runtime sets the kind and
+    #: dtype and stamps each tile's own kernel.  ``dtype_name`` is the
+    #: *scheduled* DP state dtype ("auto" where the kernel picks lane dtypes
+    #: per bucket).
     kind_name = ""
     kernel_name = "classic"
     dtype_name = "int32"
@@ -345,15 +346,19 @@ class SearchRuntime(PlanRuntime):
     arena and the tiles through the work queue, never the graph object.
 
     Every payload is a bucket locator ``(offset, width, lanes, lengths,
-    indices)``.  Shards are a logical partition: each keeps its own
-    :class:`TopK`, and ``shard_bases`` translates a tile's shard-local
-    offset into its position in the concatenated blob.  The inline, sim and
-    pool backends all build this runtime the same way, so a tile scores
-    into the same shard heap whichever process runs it.
+    indices, kernel)``: the tile names its own bucket scan, so one graph
+    can mix classic and striped tiles.  Shards are a logical partition:
+    each keeps its own :class:`TopK`, and ``shard_bases`` translates a
+    tile's shard-local offset into its position in the concatenated blob.
+    The inline, sim and pool backends all build this runtime the same way,
+    so a tile scores into the same shard heap whichever process runs it.
     """
 
     SPAN_NAME = "search_chunk"
-    ENGINE_COUNTS_CELLS = True  # MultiSequenceWorkspace counts per bucket
+    ENGINE_COUNTS_CELLS = True  # both bucket scans count their own cells
+
+    #: The bucket scan each locator's kernel name selects.
+    WORKSPACES = {"classic": MultiSequenceWorkspace, "striped": StripedMultiWorkspace}
 
     def __init__(
         self,
@@ -361,16 +366,13 @@ class SearchRuntime(PlanRuntime):
         blob: np.ndarray,
         scoring: Scoring = DEFAULT_SCORING,
         top_k: int = 10,
-        kernel: str = "classic",
         n_shards: int = 1,
         shard_bases: tuple[int, ...] | None = None,
     ) -> None:
         self.query = query
         self.blob = blob
         self.scoring = scoring
-        self.kernel = kernel
         self.kind_name = "search"
-        self.kernel_name = kernel
         # Lane dtypes are chosen per bucket: int16-when-provably-safe for the
         # classic batch, the int8->int16->int32 escalation for striped.
         self.dtype_name = "auto"
@@ -379,19 +381,24 @@ class SearchRuntime(PlanRuntime):
         self.cells = 0  # residues scanned x query length (local accounting)
 
     def tile_args(self, tile: Tile) -> dict:
+        """Adds the tile's shape, which the host cost model prices."""
+        _, width, lanes, _, _, kernel = tile.payload
         args = super().tile_args(tile)
-        args["shard"] = tile.shard
+        args.update(
+            kernel=kernel,
+            lanes=lanes,
+            width=width,
+            query_len=int(len(self.query)),
+            shard=tile.shard,
+        )
         return args
 
     def run_tile(self, tile: Tile) -> None:
-        offset, width, lanes, lengths, indices = tile.payload
+        offset, width, lanes, lengths, indices, kernel = tile.payload
         offset += self.shard_bases[tile.shard]
         codes = self.blob[offset : offset + lanes * width].reshape(lanes, width)
         lengths = np.asarray(lengths, dtype=np.int64)
-        if self.kernel == "striped":
-            ws = StripedMultiWorkspace(codes, lengths, self.scoring)
-        else:
-            ws = MultiSequenceWorkspace(codes, lengths, self.scoring)
+        ws = self.WORKSPACES[kernel](codes, lengths, self.scoring)
         self.tops[tile.shard].push_lanes(ws.sw_best_scores(self.query), indices)
         self.cells += tile.cells
 
@@ -426,7 +433,6 @@ def make_runtime(
             t,
             scoring,
             graph.params["top_k"],
-            kernel=graph.params.get("kernel", "classic"),
             n_shards=graph.n_shards,
             shard_bases=graph.params.get("shard_bases"),
         )

@@ -63,6 +63,7 @@ import numpy as np
 from ..check.engine import Finding
 from .ir import DYNAMIC, TaskGraph
 from .planners import (
+    KERNELS,
     PlanSpec,
     blocked_spec,
     build_plan,
@@ -533,7 +534,7 @@ def _sweep_packed(seed: int = 7):
 def sweep_plans(
     n_procs: int = 4,
     shape: tuple[int, int] = (96, 128),
-    kernels: Sequence[str] = ("classic", "striped"),
+    kernels: Sequence[str] = KERNELS,
 ) -> list[tuple[str, str, Finding]]:
     """Verify every pair plan x backend and search kernel x shard combination.
 

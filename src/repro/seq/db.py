@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.multi_engine import pack_codes
+from ..core.multi_engine import PAD_CODE, pack_codes
 from .fasta import FastaRecord, _open_text, parse_fasta
 from .random_dna import random_dna
 
@@ -83,6 +83,7 @@ class PackedDatabase:
     names: list[str]
     lengths: np.ndarray
     _digest: str | None = field(default=None, repr=False, compare=False)
+    _lanes: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_sequences(self) -> int:
@@ -96,6 +97,28 @@ class PackedDatabase:
     def padded_slots(self) -> int:
         """Total matrix slots including padding (packing-quality metric)."""
         return sum(b.lanes * b.width for b in self.buckets)
+
+    def lane_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bucket, lane, length)`` of every original index, built once.
+
+        Indices no bucket holds (the rest of the database, for a re-packed
+        subset) map to bucket ``-1``.
+        """
+        if self._lanes is None:
+            n = max(
+                [len(self.names)] + [int(b.indices.max()) + 1 for b in self.buckets if b.lanes]
+            )
+            bucket_of = np.full(n, -1, dtype=np.int64)
+            lane_of = np.zeros(n, dtype=np.int64)
+            length_of = np.zeros(n, dtype=np.int64)
+            for i, b in enumerate(self.buckets):
+                if b.lanes and int(b.lengths.max()) > b.width:
+                    raise ValueError(f"bucket {i}: a lane length exceeds the packed width")
+                bucket_of[b.indices] = i
+                lane_of[b.indices] = np.arange(b.lanes)
+                length_of[b.indices] = b.lengths
+            self._lanes = (bucket_of, lane_of, length_of)
+        return self._lanes
 
 
 def _pack_buffer(
@@ -114,19 +137,10 @@ def _pack_buffer(
     if not buffer:
         return
     buffer.sort(key=lambda item: -len(item[1]))
-    start = 0
-    while start < len(buffer):
-        width = len(buffer[start][1])
-        floor = (1.0 - max_waste) * width
-        stop = start + 1
-        while (
-            stop < len(buffer)
-            and stop - start < max_lanes
-            and len(buffer[stop][1]) >= floor
-        ):
-            stop += 1
+    lengths = [len(codes) for _, codes in buffer]
+    for start, stop in greedy_runs(lengths, max_lanes, max_waste):
         run = sorted(buffer[start:stop], key=lambda item: item[0])
-        codes, lane_lengths = pack_codes([c for _, c in run], width=width)
+        codes, lane_lengths = pack_codes([c for _, c in run], width=lengths[start])
         buckets.append(
             PackedBucket(
                 codes=codes,
@@ -134,7 +148,6 @@ def _pack_buffer(
                 indices=np.array([i for i, _ in run], dtype=np.int64),
             )
         )
-        start = stop
     buffer.clear()
 
 
@@ -150,10 +163,7 @@ def pack_database(
     :func:`_pack_buffer`; buckets double as the dispatch chunks of the
     search work queue.
     """
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
+    _check_packing(max_lanes, max_waste)
     names: list[str] = []
     lengths: list[int] = []
     buckets: list[PackedBucket] = []
@@ -176,6 +186,89 @@ def pack_database(
     )
 
 
+def greedy_runs(lengths, max_lanes: int, max_waste: float) -> list[tuple[int, int]]:
+    """Cut descending ``lengths`` into runs the way :func:`_pack_buffer` does.
+
+    A run ends at ``max_lanes`` lanes or before the first lane shorter than
+    ``1 - max_waste`` of the run's longest lane.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    neg = -lengths
+    runs = []
+    start = 0
+    while start < len(lengths):
+        floor = (1.0 - max_waste) * float(lengths[start])
+        stop = min(start + max_lanes, int(np.searchsorted(neg, -floor, side="right")))
+        runs.append((start, stop))
+        start = stop
+    return runs
+
+
+def _check_packing(max_lanes: int, max_waste: float) -> None:
+    if max_lanes <= 0:
+        raise ValueError("max_lanes must be positive")
+    if not 0.0 <= max_waste < 1.0:
+        raise ValueError("max_waste must be in [0, 1)")
+
+
+def _gather(packed: PackedDatabase, indices: np.ndarray, width: int) -> PackedBucket:
+    """One bucket of ``indices`` (ascending) copied out of ``packed``."""
+    bucket_of, lane_of, length_of = packed.lane_map()
+    src = bucket_of[indices]
+    lengths = length_of[indices]
+    codes = np.full((len(indices), width), PAD_CODE, dtype=np.uint8)
+    for b in np.flatnonzero(np.bincount(src)):
+        rows = np.flatnonzero(src == b)
+        bucket = packed.buckets[int(b)]
+        w = min(width, bucket.width)
+        codes[rows, :w] = bucket.codes[lane_of[indices[rows]], :w]
+    codes[np.arange(width)[None, :] >= lengths[:, None]] = PAD_CODE
+    return PackedBucket(codes=codes, lengths=lengths, indices=indices)
+
+
+def _covers(runs: list[tuple[int, int]], n: int) -> bool:
+    """True when the non-empty ``runs`` tile ``range(n)`` exactly once."""
+    cursor = 0
+    for a, b in sorted(runs):
+        if a != cursor or b <= a:
+            return False
+        cursor = b
+    return cursor == n
+
+
+def pack_runs(packed: PackedDatabase, indices, cut) -> PackedDatabase:
+    """Re-pack a subset of ``packed`` into one bucket per run of ``cut``.
+
+    The lanes of ``indices`` are sorted longest first (ties by database
+    index) and ``cut(lengths)`` returns ``(start, stop, ...)`` runs over
+    that order, which must cover it exactly once; buckets follow the runs'
+    order, lanes inside each in database order.  Lanes keep their
+    **original** database indices and the result keeps the full
+    ``names``/``lengths`` arrays, so rankings merge exactly with hits from
+    other subsets.  Codes are gathered with one numpy copy per source
+    bucket through :meth:`PackedDatabase.lane_map`.
+    """
+    bucket_of, _, length_of = packed.lane_map()
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    inside = (idx >= 0) & (idx < len(bucket_of))
+    # A mask, not np.unique: the index set comes back sorted and deduplicated
+    # without paging in numpy's sort kernels on every process that packs.
+    wanted = np.zeros(len(bucket_of), dtype=bool)
+    wanted[idx[inside]] = True
+    missing = len(set(idx[~inside].tolist())) + int((wanted & (bucket_of < 0)).sum())
+    if missing:
+        raise ValueError(f"{missing} requested indices are not in the database")
+    idx = np.flatnonzero(wanted)
+    order = np.argsort(-length_of[idx], kind="stable")
+    ranked = idx[order]
+    lengths = length_of[ranked]
+    runs = [(int(r[0]), int(r[1])) for r in cut(lengths)]
+    if not _covers(runs, len(ranked)):
+        raise ValueError("cut runs must cover the sorted lanes exactly once")
+    buckets = [_gather(packed, np.sort(ranked[a:b]), int(lengths[a])) for a, b in runs]
+    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
+
+
 def pack_subset(
     packed: PackedDatabase,
     indices,
@@ -184,33 +277,13 @@ def pack_subset(
 ) -> PackedDatabase:
     """Re-pack a subset of an already-packed database into fresh buckets.
 
-    The pruned search path uses this twice: to cut the seed prefix into its
-    own graph, and to re-pack filter survivors so lane occupancy stays high
-    before scanning them.  Lanes keep their **original** database
-    indices (so rankings merge exactly with hits from other subsets), and
-    ``names``/``lengths`` stay the full original arrays -- ``n_sequences`` /
-    ``total_residues`` of the returned database therefore describe the
-    *original* database, not the subset.
+    The buckets are cut as :func:`pack_database` cuts them (longest first,
+    at ``max_lanes`` lanes or ``max_waste`` padding), through
+    :func:`pack_runs`.  ``n_sequences`` / ``total_residues`` of the
+    returned database describe the *original* database, not the subset.
     """
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
-    wanted = {int(i) for i in indices}
-    buffer: list[tuple[int, np.ndarray]] = []
-    for bucket in packed.buckets:
-        for lane in range(bucket.lanes):
-            index = int(bucket.indices[lane])
-            if index in wanted:
-                width = int(bucket.lengths[lane])
-                buffer.append((index, bucket.codes[lane, :width]))
-    missing = len(wanted) - len(buffer)
-    if missing:
-        raise ValueError(f"{missing} requested indices are not in the database")
-    buffer.sort(key=lambda item: item[0])
-    buckets: list[PackedBucket] = []
-    _pack_buffer(buffer, buckets, max_lanes, max_waste)
-    return PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
+    _check_packing(max_lanes, max_waste)
+    return pack_runs(packed, indices, lambda lengths: greedy_runs(lengths, max_lanes, max_waste))
 
 
 def shard_database(
@@ -226,34 +299,21 @@ def shard_database(
     records land on different shards, so length (and therefore DP cost)
     correlated with database order spreads evenly instead of loading one
     shard with all the long targets.  Each shard is re-packed into its own
-    length buckets; lanes keep their **original** database indices, and
-    every shard carries the full ``names``/``lengths`` arrays (like
-    :func:`pack_subset`), so per-shard rankings merge exactly.
+    length buckets by :func:`pack_subset`; lanes keep their **original**
+    database indices, and every shard carries the full ``names``/``lengths``
+    arrays, so per-shard rankings merge exactly.
 
     Exactly-once coverage -- every original index in precisely one shard --
     is what the plan verifier's sharded PLAN004 rule re-checks downstream.
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    if max_lanes <= 0:
-        raise ValueError("max_lanes must be positive")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
-    buffers: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(n_shards)]
-    for bucket in packed.buckets:
-        for lane in range(bucket.lanes):
-            index = int(bucket.indices[lane])
-            width = int(bucket.lengths[lane])
-            buffers[index % n_shards].append((index, bucket.codes[lane, :width]))
-    shards: list[PackedDatabase] = []
-    for buffer in buffers:
-        buffer.sort(key=lambda item: item[0])
-        buckets: list[PackedBucket] = []
-        _pack_buffer(buffer, buckets, max_lanes, max_waste)
-        shards.append(
-            PackedDatabase(buckets=buckets, names=packed.names, lengths=packed.lengths)
-        )
-    return shards
+    _check_packing(max_lanes, max_waste)
+    held = np.flatnonzero(packed.lane_map()[0] >= 0)
+    return [
+        pack_subset(packed, held[held % n_shards == s], max_lanes, max_waste)
+        for s in range(n_shards)
+    ]
 
 
 def content_digest(packed: PackedDatabase) -> str:

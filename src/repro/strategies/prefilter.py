@@ -17,11 +17,16 @@ displaces the k-th hit -- so rankings stay bitwise identical to
    any pruning decision;
 3. every other lane whose ceiling falls strictly below the seeded
    threshold is pruned in one comparison;
-4. the survivors are re-packed into dense buckets
-   (:func:`repro.seq.db.pack_subset`) and scanned as a second graph.
+4. the survivors are scanned as a second graph.
 
-Both graphs go through the same ``Executor.run(graph, query, blob,
-scoring)`` call: :class:`~repro.plan.InlineExecutor` in-process,
+Every scan -- the seed prefix, the survivors, and the whole database when
+pruning is off -- is cut into tiles by the host cost model
+(:func:`repro.plan.hostcost.search_cuts`, one kernel per tile, lowest
+predicted makespan on the executor's ``n_workers``) and re-packed into
+exactly those tiles (:func:`repro.seq.db.pack_runs`); the storage packing
+only shapes the bound sweep.  Both graphs go through the same
+``Executor.run(graph, query, blob, scoring)`` call:
+:class:`~repro.plan.InlineExecutor` in-process,
 :class:`~repro.plan.PoolExecutor` over a worker pool,
 :class:`~repro.plan.SimExecutor` on the simulated cluster.  The seeded
 threshold is a lower bound on the final k-th score, and pruning against a
@@ -37,7 +42,8 @@ from ..core.bounds import TieredFilter
 from ..core.topk import TopK
 from ..obs import get_metrics, get_tracer, is_enabled
 from ..plan import plan_search_buckets, search_blob
-from ..seq.db import PackedDatabase, pack_subset, shard_database
+from ..plan.hostcost import search_cuts
+from ..seq.db import PackedDatabase, pack_runs
 
 __all__ = [
     "AUTO_MIN_SEQUENCES",
@@ -70,14 +76,6 @@ def resolve_prefilter(mode: str, n_sequences: int) -> tuple[str, ...]:
     return _MODE_TIERS[mode]
 
 
-#: Padding allowed per bucket of the seed graph.  The seed prefix is only
-#: :func:`default_seed_count` lanes, so its cost is one kernel dispatch per
-#: bucket and query row, not padded cells: packing it at the classic 15%
-#: cut six buckets where 50% cuts three, and the search call ran 7% faster on
-#: the search-cli perfbench inputs and 26% faster on search-homolog.
-SEED_MAX_WASTE = 0.5
-
-
 def default_seed_count(top_k: int) -> int:
     """Seed prefix size: enough lanes to saturate the top-k threshold."""
     return max(32, 2 * top_k)
@@ -97,28 +95,33 @@ def pruned_search(
     ``config`` is a :class:`~repro.strategies.search.SearchConfig`.
     """
     query_len = int(len(query))
-    max_lanes = config.resolved_max_lanes
-    max_waste = config.resolved_max_waste
+    n_shards = config.n_shards
+    # Shards share the one work queue, so each shard's tiles are cut for
+    # its share of the workers.
+    workers = max(1, -(-executor.n_workers // n_shards))
     top = TopK(config.top_k)
 
-    def scan(subset: PackedDatabase) -> None:
-        shards = None
-        if config.n_shards > 1:
-            shards = shard_database(subset, config.n_shards, max_lanes, max_waste)
+    def cut(lengths):
+        return search_cuts(lengths, query_len, workers, config.kernel)
+
+    def scan(indices: np.ndarray) -> None:
+        shards = [
+            pack_runs(packed, indices[indices % n_shards == s], cut) for s in range(n_shards)
+        ]
         graph = plan_search_buckets(
-            subset,
+            shards[0],
             query_len,
             top_k=config.top_k,
             kernel=config.kernel,
             prefilter=tiers,
-            n_shards=config.n_shards,
+            n_shards=n_shards,
             shards=shards,
         )
-        result = executor.run(graph, query, search_blob(shards or subset), config.scoring)
+        result = executor.run(graph, query, search_blob(shards), config.scoring)
         top.merge(result.hits)
 
     if not tiers or not packed.buckets:
-        scan(packed)
+        scan(np.flatnonzero(packed.lane_map()[0] >= 0))
         return top.ranked(), 0, 0
 
     tiered = TieredFilter(query, config.scoring, tiers)
@@ -135,7 +138,7 @@ def pruned_search(
     # Highest ceiling first, ties toward the smaller index (deterministic).
     order = np.lexsort((indices, -ceilings))
     n_seeds = default_seed_count(config.top_k)
-    scan(pack_subset(packed, indices[order[:n_seeds]], max_lanes, SEED_MAX_WASTE))
+    scan(indices[order[:n_seeds]])
 
     threshold = top.threshold()
     rest = order[n_seeds:]
@@ -161,5 +164,5 @@ def pruned_search(
             metrics.gauge("prefilter_threshold").set(float(threshold))
 
     if survivors.size:
-        scan(pack_subset(packed, indices[survivors], max_lanes, max_waste))
+        scan(indices[survivors])
     return top.ranked(), int(dropped.size), cells_skipped

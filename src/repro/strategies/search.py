@@ -7,8 +7,10 @@ whole database of targets.  :func:`search_db` is that pipeline:
 
 1. the database is packed into length buckets
    (:func:`repro.seq.pack_database`), each a padded code matrix;
-2. each bucket is scanned by a :class:`repro.core.MultiSequenceWorkspace`,
-   which advances all lanes per numpy call (batch axis = SIMD lane axis);
+2. the lanes to scan are cut into tiles by the host cost model, each
+   scanned by a :class:`repro.core.MultiSequenceWorkspace` or the striped
+   kernel, which advance all lanes per numpy call (batch axis = SIMD lane
+   axis);
 3. per-lane best scores feed a bounded :class:`TopK` heap keyed by
    ``(score, -index)``, so results are deterministic -- byte-identical to a
    sequential scan -- no matter how buckets are ordered or which worker
@@ -61,19 +63,27 @@ __all__ = [
 class SearchConfig:
     """Knobs of one database search.
 
-    ``kernel`` selects the bucket scan: "classic" is the dense
-    :class:`repro.core.MultiSequenceWorkspace`, "striped" the query-profile
-    kernel of :mod:`repro.core.striped`.  Packing knobs left as ``None``
-    resolve per kernel: the striped scan amortizes its per-plane dispatch
-    over the lane axis, so it wants far wider buckets (4096 lanes, 50%
-    padding) than the classic one (512 lanes, 15%).
+    ``kernel`` picks the bucket scan of every tile.  "auto" (the default)
+    lets the host cost model choose per tile
+    (:func:`repro.plan.hostcost.search_cuts`): the dense
+    :class:`repro.core.MultiSequenceWorkspace` ("classic") for narrow tiles,
+    where one dispatch per query row is cheap, and the query-profile kernel
+    of :mod:`repro.core.striped` ("striped") for wide ones, where its ``seg``
+    plane dispatches per row are amortised over many lanes.  "classic" and
+    "striped" force that scan on every tile (tests and oracles).
+
+    ``max_lanes``/``max_waste`` shape the *storage* packing of a database
+    handed in as records (:func:`repro.seq.pack_database`), which is what
+    the bound sweep walks; scan tiles are always cut by the cost model.
+    Left as ``None`` they resolve to 512 lanes at 15% padding, or 4096 at
+    50% for a forced striped kernel.
     """
 
     top_k: int = 10
     max_lanes: int | None = None
     max_waste: float | None = None
     scoring: Scoring = DEFAULT_SCORING
-    kernel: str = "classic"
+    kernel: str = "auto"
     #: Exact score-bound pruning mode: "off", "composition" (length +
     #: composition tiers), "kmer" (all three tiers), or "auto" (kmer tiers,
     #: but disabled below :data:`repro.strategies.prefilter.AUTO_MIN_SEQUENCES`
@@ -226,7 +236,7 @@ def search_db(
         metrics = get_metrics()
         metrics.gauge("search_seconds").set(sw.elapsed)
         metrics.gauge("search_gcups").set(gcups(cells, sw.elapsed))
-    n_workers = pool.n_workers if pool is not None else 1
+    n_workers = executor.n_workers
     backend = executor.BACKEND
     if backend == "inline":
         backend = "striped" if config.kernel == "striped" else "batched"

@@ -23,9 +23,10 @@ from repro.core import (
     pack_codes,
 )
 from repro.core.kernels import SCORE_DTYPE, initial_row
+from repro.core import striped
 from repro.core.striped import (
     LANE_MODES,
-    PROFILE_CACHE_CAPACITY,
+    PROFILE_CACHE_BYTES,
     LaneLimits,
     clear_profile_cache,
     overflow_stats,
@@ -249,12 +250,36 @@ class TestProfileCache:
         StripedMultiWorkspace(codes, lengths, Scoring(2, -1, -2)).sw_best_scores(q)
         assert profile_cache_stats()["misses"] >= 2
 
-    def test_lru_eviction(self, rng):
+    def test_lru_eviction(self, rng, monkeypatch):
+        """Least recently used profiles go once the cache passes its bytes."""
         q = random_dna(10, rng)
-        for _ in range(PROFILE_CACHE_CAPACITY + 2):
-            codes, lengths = pack_codes(make_batch(rng, 1, 8, 16))
-            StripedMultiWorkspace(codes, lengths).sw_best_scores(q)
-        assert profile_cache_stats()["evictions"] >= 1
+        batches = [pack_codes(make_batch(rng, 3, 16, 16)) for _ in range(4)]
+        StripedMultiWorkspace(*batches[0]).sw_best_scores(q)
+        one = next(iter(striped._PROFILE_CACHE.values())).nbytes
+        assert one > 0
+        monkeypatch.setattr(striped, "PROFILE_CACHE_BYTES", 2 * one)
+        StripedMultiWorkspace(*batches[1]).sw_best_scores(q)
+        StripedMultiWorkspace(*batches[0]).sw_best_scores(q)  # refresh batch 0
+        assert profile_cache_stats()["evictions"] == 0
+        StripedMultiWorkspace(*batches[2]).sw_best_scores(q)  # evicts batch 1
+        assert profile_cache_stats()["evictions"] == 1
+        held = list(striped._PROFILE_CACHE.values())
+        assert sum(p.nbytes for p in held) <= 2 * one
+        before = profile_cache_stats()
+        StripedMultiWorkspace(*batches[0]).sw_best_scores(q)
+        assert profile_cache_stats()["hits"] == before["hits"] + 1
+        StripedMultiWorkspace(*batches[1]).sw_best_scores(q)
+        assert profile_cache_stats()["misses"] == before["misses"] + 1
+
+    def test_profile_over_the_budget_is_not_kept(self, rng, monkeypatch):
+        monkeypatch.setattr(striped, "PROFILE_CACHE_BYTES", 64)
+        codes, lengths = pack_codes(make_batch(rng, 8, 40, 40))
+        StripedMultiWorkspace(codes, lengths).sw_best_scores(random_dna(10, rng))
+        assert not striped._PROFILE_CACHE
+        assert profile_cache_stats()["evictions"] == 1
+
+    def test_default_budget_is_bytes(self):
+        assert PROFILE_CACHE_BYTES >= 1 << 16
 
     def test_obs_hit_counter(self, rng):
         codes, lengths = pack_codes(make_batch(rng, 2, 20, 40))

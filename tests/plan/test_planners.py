@@ -127,6 +127,7 @@ class TestSearchPlan:
         blob = search_blob(packed)
         assert blob.size == sum(int(b.codes.size) for b in packed.buckets)
         for tile, bucket in zip(g.tiles, packed.buckets):
-            offset, width, lanes, _lengths, _indices = tile.payload
+            offset, width, lanes, _lengths, _indices, kernel = tile.payload
+            assert kernel in ("classic", "striped")
             view = blob[offset : offset + lanes * width].reshape(lanes, width)
             assert np.array_equal(view, bucket.codes)

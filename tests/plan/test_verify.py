@@ -310,23 +310,26 @@ def test_strict_verification_overhead_under_2pct():
     s, t = encode(gp.s), encode(gp.t)
     graph = plan_wavefront(len(s), len(t), n_procs=2, group_rows=16)
 
-    def _best_of(fn, rounds=5):
-        best = float("inf")
+    def run(strict: bool):
+        set_strict(strict)
+        InlineExecutor().run(graph, s, t)
+
+    def _best_of_pair(rounds=5):
+        """Lax and strict runs timed alternately, run by run, so a slow
+        stretch on a shared host lands on both sides instead of one."""
+        best_off = best_on = float("inf")
         for _ in range(rounds):
             t0 = perf_counter()
-            fn()
-            best = min(best, perf_counter() - t0)
-        return best
-
-    def run():
-        InlineExecutor().run(graph, s, t)
+            run(False)
+            best_off = min(best_off, perf_counter() - t0)
+            t0 = perf_counter()
+            run(True)
+            best_on = min(best_on, perf_counter() - t0)
+        return best_off, best_on
 
     try:
         for _ in range(4):
-            set_strict(False)
-            off = _best_of(run)
-            set_strict(True)
-            on = _best_of(run)
+            off, on = _best_of_pair()
             if on <= off * 1.02:
                 break
         else:

@@ -1,9 +1,11 @@
 """Database search: deterministic top-k, batched/sequential/pool parity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.seq import pack_database, random_dna, synthetic_database
+from repro.seq import encode, pack_database, random_dna, synthetic_database
 from repro.seq.db import PackedBucket, PackedDatabase
 from repro.strategies import (
     SearchConfig,
@@ -167,9 +169,32 @@ class TestPoolSearch:
     def test_worker_error_fails_search_but_not_pool(self, workload):
         from repro.parallel import AlignmentWorkerPool
         from repro.parallel.pool import PoolJobError
+        from repro.plan import PoolExecutor, plan_search_buckets, search_blob
 
         query, db = workload
+        query = encode(query)
         config = SearchConfig(top_k=5, max_lanes=16)
+        good = pack_database(db, max_lanes=16)
+        graph = plan_search_buckets(good, len(query), top_k=5)
+        first = graph.tiles[0]
+        offset, width, lanes, lengths, indices, kernel = first.payload
+        # A locator whose lanes exceed the packed width fails in the worker
+        # (its cells stay consistent, so strict plan verification passes it).
+        long = tuple(n + 10_000 for n in lengths)
+        bad_tile = first._replace(
+            cells=len(query) * sum(long),
+            payload=(offset, width, lanes, long, indices, kernel),
+        )
+        bad = dataclasses.replace(graph, tiles=(bad_tile,) + graph.tiles[1:])
+        expected = search_db_sequential(query, good, config).scores()
+        with AlignmentWorkerPool(n_workers=2) as pool:
+            with pytest.raises(PoolJobError):
+                PoolExecutor(pool).run(bad, query, search_blob(good))
+            # The queue was drained: the next search must be correct.
+            assert search_db(query, good, config, pool=pool).scores() == expected
+
+    def test_corrupt_bucket_is_refused_on_the_coordinator(self, workload):
+        query, db = workload
         good = pack_database(db, max_lanes=16)
         bad_bucket = PackedBucket(
             codes=good.buckets[0].codes,
@@ -181,12 +206,8 @@ class TestPoolSearch:
             names=good.names,
             lengths=good.lengths,
         )
-        expected = search_db_sequential(query, good, config).scores()
-        with AlignmentWorkerPool(n_workers=2) as pool:
-            with pytest.raises(PoolJobError):
-                search_db(query, bad, config, pool=pool)
-            # The queue was drained: the next search must be correct.
-            assert search_db(query, good, config, pool=pool).scores() == expected
+        with pytest.raises(ValueError, match="exceeds the packed width"):
+            search_db(query, bad, SearchConfig(top_k=5, max_lanes=16))
 
     def test_pool_then_pairwise_jobs_coexist(self, rng):
         from repro.parallel import AlignmentWorkerPool

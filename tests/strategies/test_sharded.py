@@ -197,7 +197,7 @@ class TestParityMatrix:
     """Every backend x prefilter x shard count x kernel ranks bitwise-equal
     to the sequential reference, through the one coordinator-side prune."""
 
-    @pytest.mark.parametrize("kernel", ["classic", "striped"])
+    @pytest.mark.parametrize("kernel", ["auto", "classic", "striped"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     @pytest.mark.parametrize("prefilter", ["off", "composition", "kmer", "auto"])
     @pytest.mark.parametrize("backend", ["inline", "pool", "sim"])

@@ -178,7 +178,7 @@ class TestBadInput:
             main(["align", "--demo", "--kernel", "striped"])
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
-        assert build_parser().parse_args(["search", "q", "db"]).kernel == "classic"
+        assert build_parser().parse_args(["search", "q", "db"]).kernel == "auto"
         args = build_parser().parse_args(["search", "q", "db", "--kernel", "striped"])
         assert args.kernel == "striped"
 
